@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: vectors, matrices, determinants, solving.
+"""Exact rational linear algebra: vectors, matrices, elimination, solving.
 
 Everything here is pure and exact.  Scalars are ``fractions.Fraction``
 (arbitrary-precision, always reduced, positive denominator), so no rounding
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError
@@ -148,10 +148,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, m: int, n: int) -> "Matrix":
-        return cls([[0] * n for _ in range(m)], n_cols=n)
-
     @property
     def n_rows(self) -> int:
         return len(self.rows)
@@ -190,13 +186,6 @@ class Matrix:
               for col in ot.rows] for row in self.rows],
             n_cols=other.n_cols)
 
-    def mul_vector(self, v: Vector) -> Vector:
-        if self.n_cols != len(v):
-            raise DimensionError(
-                f"matrix width {self.n_cols} != vector length {len(v)}")
-        return Vector(sum((a * b for a, b in zip(row, v.entries)),
-                          Fraction(0)) for row in self.rows)
-
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.rows for x in row)
 
@@ -231,69 +220,99 @@ def minor(m: Matrix, row_set, col_set=All) -> Matrix:
                   n_cols=len(tuple(cols)))
 
 
-def det(m: Matrix) -> Fraction:
-    """Exact determinant via Bareiss fraction-free elimination.
+def echelon(rows: Sequence[Sequence[int]], n_cols: int
+            ) -> tuple[list[list[int]], list[int], int]:
+    """Forward fraction-free (Bareiss) elimination of integer rows.
 
-    For integer input all intermediate entries stay integral; rational
-    entries are handled by the same recurrence (divisions are exact).
+    Eliminates in columns ``0 .. n_cols-1``; entries beyond ``n_cols`` are
+    carried along by the same row operations.  Returns
+    ``(echelon_rows, pivots, sign)``: the nonzero rows of an integer row
+    echelon form, the pivot column of each, and the parity of the row swaps.
+    Zero rows are dropped.  After ``k`` pivots every entry is a
+    (k+1)-minor of the input (Sylvester's identity), so each division by
+    the previous pivot is exact and the last pivot of a full-rank square
+    input is ``sign`` times its determinant.
     """
+    work = [list(r) for r in rows if any(r)]
+    out: list[list[int]] = []
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for col in range(n_cols):
+        if not work:
+            break
+        i = next((i for i, r in enumerate(work) if r[col]), None)
+        if i is None:
+            continue
+        if i:
+            work[0], work[i] = work[i], work[0]
+            sign = -sign
+        head = work[0]
+        p = head[col]
+        rest = []
+        for r in work[1:]:
+            f = r[col]
+            if f:
+                r = [(p * x - f * y) // prev for x, y in zip(r, head)]
+                if not any(r):
+                    continue
+            elif p != prev:
+                r = [p * x // prev for x in r]
+            rest.append(r)
+        out.append(head)
+        pivots.append(col)
+        work = rest
+        prev = p
+    return out, pivots, sign
+
+
+def back_substitute(ech: Sequence[Sequence[int]], pivots: Sequence[int],
+                    rhs: Sequence[int]) -> tuple[list[int], int]:
+    """Solve the triangular system ``ech[:, pivots] . x = rhs`` of an
+    ``echelon`` result for one right-hand side.
+
+    ``rhs`` must be a column carried along by the same elimination.
+    Returns integers ``(y, d)`` with ``x = y / d``: ``d`` is the last pivot,
+    a minor of the input, so by Cramer's rule every division is exact.
+    """
+    d = ech[-1][pivots[-1]] if ech else 1
+    y = [0] * len(ech)
+    for r in range(len(ech) - 1, -1, -1):
+        row = ech[r]
+        s = d * rhs[r] - sum(row[pivots[j]] * y[j]
+                             for j in range(r + 1, len(ech)))
+        y[r] = s // row[pivots[r]]
+    return y, d
+
+
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Each rational row scaled by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    return out
+
+
+def det(m: Matrix) -> Fraction:
+    """Exact determinant by fraction-free elimination of the integer-scaled
+    rows."""
     if not m.is_square():
         raise DimensionError(f"determinant of non-square {m!r}")
-    n = m.n_rows
-    if n == 0:
+    if m.n_rows == 0:
         return Fraction(1)
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def _eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Row-reduce in place; returns (reduced rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    n_cols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0),
-                         None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    ech, pivots, sign = echelon(_integer_rows(m.rows), m.n_cols)
+    if len(pivots) < m.n_cols:
+        return Fraction(0)
+    scale = 1
+    for row in m.rows:
+        scale *= lcm(*(x.denominator for x in row))
+    return Fraction(sign * ech[-1][-1], scale)
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank by Gaussian elimination."""
-    rows = [list(row) for row in m.rows]
-    _, pivots = _eliminate(rows)
-    return len(pivots)
+    """Exact rank by fraction-free elimination."""
+    return len(echelon(_integer_rows(m.rows), m.n_cols)[1])
 
 
 def lin_solve(a: Matrix, b: Vector) -> Vector | None:
@@ -306,18 +325,13 @@ def lin_solve(a: Matrix, b: Vector) -> Vector | None:
     if a.n_rows != len(b):
         raise DimensionError(
             f"matrix has {a.n_rows} rows but vector has {len(b)} entries")
-    aug = [list(row) + [bv] for row, bv in zip(a.rows, b.entries)]
-    if not aug:
-        return Vector([]) if a.n_cols == 0 else None
-    reduced, pivots = _eliminate(aug)
-    if a.n_cols in pivots:
-        return None  # pivot in the constant column: inconsistent
-    if len(pivots) < a.n_cols:
-        return None  # free variables: no unique solution
-    x = [Fraction(0)] * a.n_cols
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][-1]
-    return Vector(x)
+    n = a.n_cols
+    aug = _integer_rows(row + (bv,) for row, bv in zip(a.rows, b.entries))
+    ech, pivots, _ = echelon(aug, n + 1)
+    if pivots != list(range(n)):
+        return None  # free variables, or a pivot in the constant column
+    y, d = back_substitute(ech, pivots, [row[n] for row in ech])
+    return Vector(Fraction(v, d) for v in y)
 
 
 def all_subsets_of_k(k: int, index_range: Sequence[int]) -> list[tuple[int, ...]]:
@@ -336,13 +350,10 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
 
     The sign pattern (in particular of the first nonzero entry) is kept.
     """
-    vv = tuple(int(x) for x in v)
-    g = 0
-    for x in vv:
-        g = gcd(g, abs(x))
+    g = gcd(*v)
     if g == 0:
         raise ValueError("primitive() of the zero vector")
-    return tuple(x // g for x in vv)
+    return tuple(x // g for x in v)
 
 
 def primitive_rational(v: Iterable[Fraction]) -> tuple[int, ...]:
@@ -350,12 +361,7 @@ def primitive_rational(v: Iterable[Fraction]) -> tuple[int, ...]:
 
     The result points in the same direction (positive scaling only).
     """
-    vv = [_q(x) for x in v]
-    lcm = 1
-    for x in vv:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in vv]
-    return primitive(ints)
+    return primitive(_integer_rows([[_q(x) for x in v]])[0])
 
 
 def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:

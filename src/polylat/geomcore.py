@@ -22,7 +22,15 @@ from .errors import (
     InternalConsistencyError,
     NotPointedError,
 )
-from .exactmath import Matrix, Vector, primitive_rational, rank
+from .exactmath import (
+    Matrix,
+    Vector,
+    back_substitute,
+    echelon,
+    primitive,
+    primitive_rational,
+    rank,
+)
 from .graphiso import Graph
 
 IntRow = tuple[int, ...]
@@ -34,26 +42,7 @@ IntRow = tuple[int, ...]
 
 def _int_rank(rows: Sequence[IntRow], width: int) -> int:
     """Rank of integer rows by fraction-free elimination."""
-    work = [list(r) for r in rows if any(r)]
-    rnk = 0
-    col = 0
-    while work and col < width:
-        pivot = next((i for i, r in enumerate(work) if r[col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[0], work[pivot] = work[pivot], work[0]
-        head = work[0]
-        rest = []
-        for r in work[1:]:
-            if r[col] != 0:
-                r = [head[col] * x - r[col] * y for x, y in zip(r, head)]
-            if any(r):
-                rest.append(r)
-        work = rest
-        rnk += 1
-        col += 1
-    return rnk
+    return len(echelon(rows, width)[1])
 
 
 def double_description(
@@ -88,7 +77,7 @@ def double_description(
                 l0 = tuple(-x for x in l0)
                 d0 = -d0
             lineality = [
-                primitive_int(tuple(d0 * x - d * y for x, y in zip(l, l0)))
+                primitive(tuple(d0 * x - d * y for x, y in zip(l, l0)))
                 if d else l
                 for l, d in zip(lineality, lin_dots)
             ]
@@ -97,7 +86,7 @@ def double_description(
             for r in rays:
                 d = dot(a, r)
                 if d:
-                    r2 = primitive_int(
+                    r2 = primitive(
                         tuple(d0 * x - d * y for x, y in zip(r, l0)))
                 else:
                     r2 = r
@@ -124,7 +113,7 @@ def double_description(
                     tight = [processed[i] for i in range(idx) if z >> i & 1]
                     if _int_rank(tight, width) != cur_rank - 2:
                         continue
-                    v = primitive_int(tuple(
+                    v = primitive(tuple(
                         dots[p] * xn - dots[n] * xp for xp, xn in zip(p, n)))
                     if v not in masks:
                         masks[v] = (z | (1 << idx))
@@ -145,37 +134,34 @@ def double_description(
     return rays, lineality
 
 
-def primitive_int(v: IntRow) -> IntRow:
-    """Primitive representative of a nonzero integer vector (sign kept)."""
-    from math import gcd
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise GeometryError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
+def _integer_rref(rows: Iterable[IntRow], width: int
+                  ) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of integer rows times one positive integer,
+    so that it stays integral, and its pivot columns."""
+    ech, pivots, _ = echelon(rows, width)
+    cols = [back_substitute(ech, pivots, [r[c] for r in ech])
+            for c in range(width)]
+    return [[y[i] if d > 0 else -y[i] for y, d in cols]
+            for i in range(len(ech))], pivots
 
 
 def _canonical_basis(rows: Iterable[IntRow], width: int) -> list[IntRow]:
     """Canonical (RREF-derived) basis of the span, primitive integer rows."""
-    from .exactmath import _eliminate
-    work = [[Fraction(x) for x in r] for r in rows]
-    reduced, pivots = _eliminate(work)
-    return sorted(primitive_rational(reduced[i]) for i in range(len(pivots)))
+    rref, _ = _integer_rref(rows, width)
+    return sorted(primitive(row) for row in rref)
 
 
 def _kernel_basis(rows: Sequence[IntRow], width: int) -> list[IntRow]:
     """Primitive integer basis of {y : <r, y> = 0 for all rows}."""
-    from .exactmath import _eliminate
-    work = [[Fraction(x) for x in r] for r in rows]
-    reduced, pivots = _eliminate(work)
+    rref, pivots = _integer_rref(rows, width)
+    d = rref[0][pivots[0]] if rref else 1
     kernel = []
     for fc in (c for c in range(width) if c not in pivots):
-        y = [Fraction(0)] * width
-        y[fc] = Fraction(1)
-        for r, p in enumerate(pivots):
-            y[p] = -reduced[r][fc]
-        kernel.append(primitive_rational(y))
+        y = [0] * width
+        y[fc] = d
+        for row, p in zip(rref, pivots):
+            y[p] = -row[fc]
+        kernel.append(primitive(y))
     return sorted(kernel)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -25,22 +24,18 @@ from .exactmath import (
     All,
     Matrix,
     Vector,
-    _eliminate,
     all_subsets_of_k,
+    back_substitute,
     det,
+    echelon,
     hermite_normal_form,
     lin_solve,
     minor,
+    primitive,
     primitive_rational,
     rank,
 )
-from .geomcore import (
-    HasseDiagram,
-    IntRow,
-    _int_rank,
-    double_description,
-    primitive_int,
-)
+from .geomcore import HasseDiagram, IntRow, _int_rank, double_description
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +166,6 @@ def lattice_codegree(hstar: Vector, d: int) -> int:
     return d + 1 - lattice_degree(hstar)
 
 
-def n_interior_from_hstar(hstar: Vector) -> int:
-    """The top h*-coefficient counts the interior lattice points."""
-    return int(hstar.entries[-1])
-
-
 # ---------------------------------------------------------------------------
 # reflexivity and smoothness
 # ---------------------------------------------------------------------------
@@ -219,7 +209,7 @@ def smooth(hasse: HasseDiagram, vertices: Matrix, d: int, ambient: int) -> bool:
         for w in sorted(nbrs):
             delta = [int(x - y) for x, y
                      in zip(vertices.rows[w][1:], vertices.rows[v][1:])]
-            dirs.append(primitive_int(tuple(delta)))
+            dirs.append(primitive(delta))
         if abs(det(Matrix(dirs, n_cols=d))) != 1:
             return False
     return True
@@ -228,13 +218,6 @@ def smooth(hasse: HasseDiagram, vertices: Matrix, d: int, ambient: int) -> bool:
 # ---------------------------------------------------------------------------
 # Hilbert bases of pointed cones
 # ---------------------------------------------------------------------------
-
-def cone_support(generators: Sequence[IntRow], width: int
-                 ) -> tuple[list[IntRow], list[IntRow]]:
-    """Facet normals and span equations of cone(generators)."""
-    rays, lineality = double_description(list(generators), width)
-    return rays, lineality
-
 
 def in_cone(x: Sequence[int], facets: Sequence[IntRow],
             equations: Sequence[IntRow]) -> bool:
@@ -267,7 +250,7 @@ def placing_triangulation(generators: Sequence[IntRow]) -> list[tuple[int, ...]]
             simplices = [s + (i,) for s in simplices]
             cur_rank = new_rank
         else:
-            support, _ = cone_support([gens[j] for j in placed], width)
+            support, _ = double_description([gens[j] for j in placed], width)
             visible = [f for f in support
                        if sum(a * b for a, b in zip(f, g)) < 0]
             fresh = set()
@@ -288,27 +271,33 @@ def parallelepiped_points(gen_rows: Sequence[IntRow]) -> list[IntRow]:
     For independent generators g_1..g_k these are the points
     sum lambda_i g_i with 0 <= lambda_i < 1.  Enumeration runs over a
     complete residue system derived from the Hermite normal form of the
-    pivot-column minor, one exact solve per residue.
+    pivot-column minor gp.  gp^T is factored once, together with the
+    identity that carries the right-hand sides, and each residue costs one
+    integer back-substitution.
     """
-    g = Matrix([list(r) for r in gen_rows])
-    k = g.n_rows
-    _, pivots = _eliminate([[Fraction(x) for x in row] for row in g.rows])
+    k = len(gen_rows)
+    width = len(gen_rows[0]) if gen_rows else 0
+    _, pivots, _ = echelon(gen_rows, width)
     if len(pivots) != k:
         raise GeometryError("parallelepiped needs independent generators")
-    gp = minor(g, All, pivots)
-    h, _ = hermite_normal_form(gp)
-    gpt = gp.transpose()
+    gp = [[row[c] for c in pivots] for row in gen_rows]
+    h, _ = hermite_normal_form(Matrix(gp, n_cols=k))
+    ech, ech_pivots, _ = echelon([[gp[i][j] for i in range(k)]
+                                  + [int(i == j) for i in range(k)]
+                                  for j in range(k)], k)
     out = []
     for resid in itertools.product(*(range(int(h.rows[i][i]))
                                      for i in range(k))):
-        lam = lin_solve(gpt, Vector(resid))
-        frac = Vector(x - math.floor(x) for x in lam)
-        x = [Fraction(0)] * g.n_cols
-        for lj, row in zip(frac, g.rows):
-            for c in range(g.n_cols):
-                x[c] += lj * row[c]
-        if all(v.denominator == 1 for v in x):
-            out.append(tuple(int(v) for v in x))
+        rhs = [sum(a * b for a, b in zip(row[k:], resid)) for row in ech]
+        y, d = back_substitute(ech, ech_pivots, rhs)
+        if d < 0:
+            y, d = [-v for v in y], -d
+        # lambda_i = y_i / d; its fractional part is (y_i mod d) / d
+        t = [v % d for v in y]
+        x = [sum(ti * row[c] for ti, row in zip(t, gen_rows))
+             for c in range(width)]
+        if all(v % d == 0 for v in x):
+            out.append(tuple(v // d for v in x))
     return out
 
 
@@ -324,7 +313,7 @@ def hilbert_basis(points: Matrix) -> Matrix:
         raise GeometryError("no generators given")
     width = points.n_cols
     gens = sorted({primitive_rational(row) for row in points.rows})
-    facets, equations = cone_support(gens, width)
+    facets, equations = double_description(gens, width)
     if _int_rank(list(facets) + list(equations), width) != width:
         raise NotPointedError("Hilbert basis needs a pointed cone")
 
@@ -415,12 +404,8 @@ def caratheodory_witness_scan(m: Matrix, x: Vector) -> WitnessScanReport:
     lines = []
     subsets = all_subsets_of_k(k, range(m.n_rows))
     for s in subsets:
-        b = minor(m, s, All)
-        if det(b) == 0:
-            continue
-        y = lin_solve(b.transpose(), x)
-        if y is None:
-            raise InternalConsistencyError(
-                "nonsingular system without solution")
-        lines.append(WitnessLine(s, y))
+        # a square system has a unique solution iff its matrix is nonsingular
+        y = lin_solve(minor(m, s, All).transpose(), x)
+        if y is not None:
+            lines.append(WitnessLine(s, y))
     return WitnessScanReport(tuple(lines), len(subsets))

@@ -23,7 +23,7 @@ from .exactmath import all_subsets_of_k as _subsets
 from .exactmath import det as _det
 from .exactmath import lin_solve as _lin_solve
 from .exactmath import minor as _minor
-from .exactmath import primitive as _primitive
+from .exactmath import primitive_rational as _primitive_rational
 from .exactmath import rank as _rank
 from .geomcore import IncidenceMatrix, cross, cube, from_points
 from .graphiso import Graph, isomorphic
@@ -626,7 +626,7 @@ def _builtin(env: Environment, name: str, args, kwargs, line):
         return _rank(args[0])
     if name == "primitive":
         _want(args, 1, name, line)
-        return Vector(_primitive([int(x) for x in args[0]]))
+        return Vector(_primitive_rational(args[0]))
     if name == "isomorphic":
         _want(args, 2, name, line)
         return isomorphic(args[0], args[1])

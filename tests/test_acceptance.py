@@ -37,7 +37,6 @@ from polylat.geomcore import (
 from polylat.graphiso import isomorphic, isomorphism
 from polylat.latticecore import (
     caratheodory_witness_scan,
-    cone_support,
     ehrhart_counts,
     h_star,
     hilbert_basis,
@@ -342,7 +341,8 @@ def test_criterion_8a_ehrhart_reciprocity_and_hstar():
 
 def test_criterion_8b_hilbert_basis_oracles():
     with criterion(8, "b: Hilbert basis oracles on 25 random pointed cones"):
-        from polylat.geomcore import _int_rank, primitive_int
+        from polylat.exactmath import primitive
+        from polylat.geomcore import _int_rank, double_description
         rng = random.Random(5150)
         checked_points = 0
         for trial in range(25):
@@ -352,11 +352,11 @@ def test_criterion_8b_hilbert_basis_oracles():
                 for _ in range(rng.randint(dim, dim + 2)):
                     v = tuple(rng.randint(-3, 3) for _ in range(dim))
                     if any(v):
-                        gens.add(primitive_int(v))
+                        gens.add(primitive(v))
                 gens = sorted(gens)
                 if not gens:
                     continue
-                facets, equations = cone_support(gens, dim)
+                facets, equations = double_description(gens, dim)
                 if _int_rank(list(facets) + list(equations), dim) == dim:
                     break
             basis = [tuple(int(x) for x in r)

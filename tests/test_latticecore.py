@@ -14,10 +14,12 @@ from polylat.errors import (
     NotLatticeError,
     NotPointedError,
 )
-from polylat.exactmath import Matrix, Vector, det, lin_solve
+from polylat.exactmath import Matrix, Vector, det, primitive
 from polylat.geomcore import (
+    _int_rank,
     cross,
     cube,
+    double_description,
     facets_from_points,
     hasse_diagram,
     incidence,
@@ -25,7 +27,6 @@ from polylat.geomcore import (
 )
 from polylat.latticecore import (
     caratheodory_witness_scan,
-    cone_support,
     ehrhart_counts,
     h_star,
     hilbert_basis,
@@ -36,12 +37,12 @@ from polylat.latticecore import (
     lattice_points,
     lattice_test,
     lattice_volume,
-    n_interior_from_hstar,
     parallelepiped_points,
     placing_triangulation,
     reflexive,
     smooth,
 )
+from oracles import boxscan_parallelepiped, n_interior_from_hstar
 
 M_ROWS = [
     (0, 1, 0, 0, 0, 0),
@@ -64,21 +65,6 @@ def hull_of(rows):
     return verts, facets, hull
 
 
-def boxscan_parallelepiped(gens):
-    """Independent oracle: scan the bounding box of the half-open
-    parallelepiped and keep the points with coefficients in [0, 1)."""
-    width = len(gens[0])
-    lo = [sum(min(g[j], 0) for g in gens) for j in range(width)]
-    hi = [sum(max(g[j], 0) for g in gens) for j in range(width)]
-    gt = Matrix(gens).transpose()
-    out = []
-    for x in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        lam = lin_solve(gt, Vector(x))
-        if lam is not None and all(0 <= c < 1 for c in lam):
-            out.append(tuple(x))
-    return sorted(out)
-
-
 def random_pointed_cone(rng, dim):
     """Random pointed cone generators with coordinates in [-3, 3]."""
     while True:
@@ -89,9 +75,8 @@ def random_pointed_cone(rng, dim):
                 gens.append(v)
         if not gens:
             continue
-        from polylat.geomcore import primitive_int, _int_rank
-        gens = sorted({primitive_int(g) for g in gens})
-        facets, equations = cone_support(gens, dim)
+        gens = sorted({primitive(g) for g in gens})
+        facets, equations = double_description(gens, dim)
         if _int_rank(list(facets) + list(equations), dim) == dim:
             return gens, facets, equations
 
@@ -420,7 +405,7 @@ class TestHilbertBasis:
         got = {tuple(int(x) for x in r) for r in hb.rows}
         assert got == {(1, 0), (1, 1), (1, 2)}
         # brute-force irreducibility oracle over small cone points
-        facets, equations = cone_support([(1, 0), (1, 2)], 2)
+        facets, equations = double_description([(1, 0), (1, 2)], 2)
         pts = [p for p in itertools.product(range(5), repeat=2)
                if any(p) and in_cone(p, facets, equations)]
         irreducible = {

@@ -215,6 +215,11 @@ class TestTranscripts:
         out, _ = run("print vector(1/2, 3, 9/3)")
         assert out == "1/2 3 3\n"
 
+    def test_primitive_scales_rationals(self):
+        out, _ = run("print primitive(vector(1/2, 1))\n"
+                     "print primitive(vector(0, -4, 6))")
+        assert out == "1 2\n0 -2 3\n"
+
     def test_runtime_error_has_line(self):
         with pytest.raises(ShellError) as exc:
             run("P = cube(3)\nprint P.NOT_A_PROPERTY")
