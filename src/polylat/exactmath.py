@@ -82,9 +82,6 @@ class Vector:
         return sum((a * b for a, b in zip(self.entries, other.entries)),
                    Fraction(0))
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for a in self.entries)
 
@@ -154,9 +151,6 @@ class Matrix:
 
     def row(self, i: int) -> Vector:
         return Vector(self.rows[i])
-
-    def col(self, j: int) -> Vector:
-        return Vector(r[j] for r in self.rows)
 
     def __getitem__(self, i) -> Vector:
         return self.row(i)

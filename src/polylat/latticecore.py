@@ -24,6 +24,7 @@ from .exactmath import (
     All,
     Matrix,
     Vector,
+    _integer_rows,
     all_subsets_of_k,
     back_substitute,
     det,
@@ -60,22 +61,17 @@ def lattice_points(vertices: Matrix, facets: Matrix,
     and every affine-hull equation.
     """
     if any(row[0] != 1 for row in vertices.rows):
-        raise GeometryError("lattice point enumeration needs a bounded polytope")
+        raise GeometryError("lattice point enumeration needs a bounded "
+                            "polytope; use HILBERT_BASIS for cones")
     d = vertices.n_cols - 1
-    eq_rows = list(equations.rows) if equations is not None else []
     bounds = []
     for j in range(1, d + 1):
         vals = [row[j] for row in vertices.rows]
         bounds.append(range(math.ceil(min(vals)), math.floor(max(vals)) + 1))
-    # facets and equations are integral in every produced representation;
-    # plain int arithmetic here is several times faster than Fraction
-    if facets.is_integral() and all(x.denominator == 1
-                                    for e in eq_rows for x in e):
-        f_rows = [tuple(int(x) for x in row) for row in facets.rows]
-        e_rows = [tuple(int(x) for x in row) for row in eq_rows]
-    else:
-        f_rows = [tuple(row) for row in facets.rows]
-        e_rows = [tuple(row) for row in eq_rows]
+    # a positive row scale keeps ">= 0" and "= 0"; int sums are several
+    # times faster than Fraction ones
+    f_rows = _integer_rows(facets.rows)
+    e_rows = _integer_rows(equations.rows) if equations is not None else []
     rows = []
     for xs in itertools.product(*bounds):
         p = (1,) + xs

@@ -91,6 +91,9 @@ def tokenize(text: str) -> list[Token]:
                     den_end = end + 1
                     while den_end < len(raw) and raw[den_end].isdigit():
                         den_end += 1
+                    if not int(raw[end + 1:den_end]):
+                        raise ShellError("zero denominator in "
+                                         f"{raw[pos:den_end]}", lineno)
                     tokens.append(Token(
                         "RAT", Fraction(raw[pos:den_end]), lineno))
                     pos = den_end

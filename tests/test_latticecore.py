@@ -130,10 +130,25 @@ class TestLatticePoints:
         rows = [tuple(r) for r in pts.rows]
         assert rows == sorted(set(rows))
 
+    def test_rational_facets_scale_to_integer_ones(self):
+        verts = Matrix([(1, 0, 0), (1, 2, 0), (1, 0, 2)])
+        rational = Matrix([(0, Fraction(1, 2), 0), (0, 0, Fraction(1, 3)),
+                           (1, Fraction(-1, 2), Fraction(-1, 2))])
+        integral = Matrix([(0, 1, 0), (0, 0, 1), (2, -1, -1)])
+        pts = lattice_points(verts, rational)
+        assert pts == lattice_points(verts, integral)
+        assert pts.n_rows == 6
+        # a rational equation x = y/2 + 1/2 keeps (1, 1) and (0, -1) only
+        line = Matrix([(Fraction(1, 2), -1, Fraction(1, 2))])
+        box = Matrix([(1, -2, -2), (1, 2, 2)])
+        assert lattice_points(box, Matrix([], n_cols=3), line) == Matrix(
+            [(1, 0, -1), (1, 1, 1)])
+
     def test_unbounded_rejected(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError) as exc:
             lattice_points(Matrix([[0, 1]]), Matrix([[0, 1]]),
                            Matrix([], n_cols=2))
+        assert "HILBERT_BASIS" in str(exc.value)
 
 
 class TestEhrhart:

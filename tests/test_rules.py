@@ -1,10 +1,16 @@
 """Integration tests: the standard rulebase driving whole-object flows."""
 
+import importlib.util
 import itertools
+import pathlib
 
 import pytest
 
-from polylat.errors import GeometryError, RuleBodyError
+from polylat.errors import (
+    GeometryError,
+    NotFullDimensionalError,
+    RuleBodyError,
+)
 from polylat.exactmath import Matrix, Vector
 from polylat.geomcore import cross, cube, from_points
 from polylat.rules import fresh_rulebase
@@ -23,9 +29,73 @@ M_ROWS = [
 ]
 
 
+# rule ids and classes in registration order; ties between equally cheap
+# schedules go to the earlier rule, and the ids are the names that the
+# schedule printouts, --trace-rules and perfbench/spans.py show
+RULEBASE_PIN = [
+    ("FACETS, AFFINE_HULL : POINTS", "Polytope"),
+    ("FACETS, AFFINE_HULL : VERTICES", "Polytope"),
+    ("AFFINE_HULL : FACETS", "Polytope"),
+    ("VERTICES : POINTS, FACETS, AFFINE_HULL", "Polytope"),
+    ("VERTICES : FACETS, AFFINE_HULL", "Polytope"),
+    ("VERTICES_IN_FACETS : VERTICES, FACETS", "Polytope"),
+    ("HASSE_DIAGRAM : VERTICES_IN_FACETS", "Polytope"),
+    ("F_VECTOR, F2_VECTOR : HASSE_DIAGRAM", "Polytope"),
+    ("GRAPH, DUAL_GRAPH : HASSE_DIAGRAM, VERTICES_IN_FACETS", "Polytope"),
+    ("AMBIENT_DIM : FACETS", "Polytope"),
+    ("AMBIENT_DIM : POINTS", "Polytope"),
+    ("AMBIENT_DIM : VERTICES", "Polytope"),
+    ("DIM : VERTICES", "Polytope"),
+    ("DIM : POINTS", "Polytope"),
+    ("DIM : FACETS, AFFINE_HULL", "Polytope"),
+    ("BOUNDED : VERTICES", "Polytope"),
+    ("BOUNDED : POINTS", "Polytope"),
+    ("POINTED : FACETS, AFFINE_HULL", "Polytope"),
+    ("LATTICE : VERTICES, BOUNDED", "Polytope"),
+    ("LATTICE_POINTS : VERTICES, FACETS, AFFINE_HULL, BOUNDED", "Polytope"),
+    ("N_LATTICE_POINTS : LATTICE_POINTS", "Polytope"),
+    ("INTERIOR_LATTICE_POINTS : LATTICE_POINTS, FACETS", "Polytope"),
+    ("N_INTERIOR_LATTICE_POINTS : INTERIOR_LATTICE_POINTS", "Polytope"),
+    ("HILBERT_BASIS : POINTS", "Polytope"),
+    ("HILBERT_BASIS : VERTICES", "Polytope"),
+    ("REFLEXIVE : FACETS, AFFINE_HULL", "LatticePolytope"),
+    ("SMOOTH : HASSE_DIAGRAM, VERTICES, DIM, AMBIENT_DIM", "LatticePolytope"),
+    ("H_STAR_VECTOR : VERTICES, FACETS, DIM, AMBIENT_DIM", "LatticePolytope"),
+    ("LATTICE_VOLUME : H_STAR_VECTOR", "LatticePolytope"),
+    ("LATTICE_DEGREE : H_STAR_VECTOR", "LatticePolytope"),
+    ("LATTICE_CODEGREE : H_STAR_VECTOR, DIM", "LatticePolytope"),
+]
+
+
 @pytest.fixture()
 def rb():
     return fresh_rulebase()
+
+
+def test_rulebase_pin(rb):
+    assert [(r.id, r.required_class) for r in rb.rules] == RULEBASE_PIN
+    assert all(r.id == r.label for r in rb.rules)
+
+
+def test_benchmark_rule_names_are_registered(rb):
+    # a renamed id would silently move that rule's time to rules.other.s
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert set(spans.RULE_NAMES) <= {r.id for r in rb.rules}
+
+
+def test_rule_kernels_are_looked_up_when_fired(rb, monkeypatch):
+    # perfbench/spans.py wraps a kernel by rebinding its module attribute
+    from polylat import geomcore
+    calls = []
+    real = geomcore.incidence
+    monkeypatch.setattr(geomcore, "incidence",
+                        lambda v, f: calls.append(v.n_rows) or real(v, f))
+    rows = [(1,) + s for s in itertools.product((-1, 1), repeat=3)]
+    from_points(Matrix(rows), rulebase=rb).request("VERTICES_IN_FACETS")
+    assert calls == [8]
 
 
 def test_points_object_reproduces_cube_facets(rb):
@@ -102,8 +172,9 @@ def test_segment_object_full_lattice_pipeline(rb):
 
 def test_lower_dim_object_hstar_is_rule_error(rb):
     p = from_points(Matrix([[1, 0, 0], [1, 2, 2]]), rulebase=rb)
-    with pytest.raises(RuleBodyError):
+    with pytest.raises(RuleBodyError) as exc:
         p.request("H_STAR_VECTOR")
+    assert isinstance(exc.value.cause, NotFullDimensionalError)
 
 
 def test_class_stays_after_base_requests(rb):

@@ -100,6 +100,13 @@ class TestParser:
         assert input_incomplete("foreach s in xs {")
         assert not input_incomplete("foreach s in xs { }")
         assert not input_incomplete("print )")  # broken, but complete
+        assert not input_incomplete("print 1/0")
+
+    def test_zero_denominator_is_shell_error(self):
+        with pytest.raises(ShellError) as exc:
+            eval_text("x = 1\nprint 1/0", Environment(
+                rulebase=fresh_rulebase(), out=io.StringIO()))
+        assert exc.value.line == 2
 
 
 class TestTranscripts:
@@ -370,6 +377,10 @@ class TestCli:
         assert main(["--eval", "print cube(3).F_VECTOR"]) == 0
         assert capsys.readouterr().out == "8 12 6\n"
 
+    def test_eval_zero_denominator_exits_1(self, capsys):
+        assert main(["--eval", "print 1/0"]) == 1
+        assert "zero denominator" in capsys.readouterr().err
+
     def test_trace_rules_flag(self, capsys):
         status = main(["--trace-rules", "--eval",
                        "print cube(4).F_VECTOR"])
@@ -385,9 +396,9 @@ class TestCli:
             / "cube_session.pol"
         assert main(["--script", str(script)]) == 0
         out = capsys.readouterr().out
-        assert "8 12 6" in out
+        assert "8 12 6" in out.splitlines()
         assert "LatticePolytope" in out
-        assert "1 23 23 1" in out
+        assert "1 23 23 1" in out.splitlines()
 
     def test_shipped_witness_scan_script(self, capsys):
         import pathlib
@@ -396,6 +407,8 @@ class TestCli:
         assert main(["--script", str(script)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert "185 nonsingular subsets" in out
+        assert "120 integral solutions" in out
+        assert "160 solutions with a negative coefficient" in out
         assert "0 nonnegative integral representations (must be 0)" in out
         assert out[-1] == "0 0 0 5 5"
 
