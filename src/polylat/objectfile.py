@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ObjectFileError
+from .errors import ObjectFileError, PolylatError
 from .exactmath import Matrix, Vector
 from .geomcore import HasseDiagram, IncidenceMatrix
 from .graphiso import Graph
@@ -148,7 +148,12 @@ def _sections(text: str):
 
 
 def load_object(path: str, rulebase: RuleBase | None = None) -> ComputationObject:
-    """Restore an object; every stored property loads without recomputation."""
+    """Restore an object; every stored property loads without recomputation.
+
+    The object is born in the root class and cast to the file's CLASS the
+    way a request casts it, so a file cannot claim a class whose
+    preconditions fail or cannot be derived.
+    """
     if rulebase is None:
         from .rules import DEFAULT_RULEBASE
         rulebase = DEFAULT_RULEBASE
@@ -161,10 +166,16 @@ def load_object(path: str, rulebase: RuleBase | None = None) -> ComputationObjec
                 raise ObjectFileError(name, "first section must be CLASS")
             if len(lines) != 1:
                 raise ObjectFileError(name, "CLASS needs exactly one line")
-            obj = ComputationObject(rulebase, lines[0])
+            cls = lines[0]
+            rulebase.class_spec(cls)  # unknown class raises here
+            obj = ComputationObject(rulebase, rulebase.ancestors(cls)[-1])
             continue
         spec = rulebase.property_spec(name)  # unknown key raises here
         obj.take(name, parse_value(spec.kind, lines, name))
     if obj is None:
         raise ObjectFileError("CLASS", "file has no sections")
+    try:
+        obj.cast_if_needed(cls)
+    except PolylatError as exc:  # refused, or not derivable from the file
+        raise ObjectFileError("CLASS", str(exc)) from exc
     return obj

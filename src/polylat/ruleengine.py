@@ -221,12 +221,21 @@ class Schedule:
         """Run every entry in order, storing each rule's targets.
 
         Existing properties are never overwritten; a rule whose every
-        target is already present is skipped with a warning.  A failing
-        body aborts the run but keeps the results of earlier entries.
+        target is already present is skipped with a warning.  A cast is
+        refused as soon as one of its preconditions is stored with the
+        wrong value.  A failing body or refusal aborts the run but keeps
+        the results of earlier entries.
         """
+        casts = [e.target_class for e in self.entries
+                 if isinstance(e, CastStep)]
         for entry in self.entries:
+            if casts:
+                spec = obj.rulebase.class_spec(casts[0])
+                for key, wanted in spec.preconditions:
+                    if obj._store.get(key, wanted) is not wanted:
+                        raise CastRefusedError(spec.name, key, obj._store[key])
             if isinstance(entry, CastStep):
-                obj._perform_cast(entry.target_class, compute_missing=False)
+                obj._perform_cast(casts.pop(0))
                 continue
             rule = entry
             if all(t in obj._store for t in rule.targets):
@@ -310,30 +319,9 @@ class ComputationObject:
 
         Ties are broken by rule registration order.  If a target belongs
         to a subclass, the schedule first derives the precondition
-        properties and contains an explicit cast step.
+        properties, one at a time in declared order, and contains an
+        explicit cast step.  ``request`` applies exactly this schedule.
         """
-        if len(targets) == 1 and not isinstance(targets[0], str):
-            targets = tuple(targets[0])
-        for t in targets:
-            self.rulebase.property_spec(t)
-        entries: list[RuleSpec | CastStep] = []
-        state = frozenset(self._store)
-        cur_class = self.class_tag
-        for cls_name in self._cast_chain_for(targets):
-            spec = self.rulebase.class_spec(cls_name)
-            pre_keys = tuple(k for k, _ in spec.preconditions)
-            plan = self._search(state, pre_keys, cur_class)
-            entries.extend(plan)
-            for r in plan:
-                state |= set(r.targets)
-            entries.append(CastStep(cls_name))
-            cur_class = cls_name
-        plan = self._search(state, targets, cur_class)
-        entries.extend(plan)
-        return Schedule(entries)
-
-    def _cast_chain_for(self, targets: Iterable[str]) -> list[str]:
-        """Classes to cast through, top-down, to own every target."""
         deepest = self.class_tag
         for t in targets:
             owner = self.rulebase.property_spec(t).klass
@@ -343,11 +331,25 @@ class ComputationObject:
                 deepest = owner
             else:
                 raise UnsatisfiableRequestError([t])
-        if deepest == self.class_tag:
-            return []
-        chain = self.rulebase.ancestors(deepest)
-        cut = chain.index(self.class_tag)
-        return list(reversed(chain[:cut]))
+        entries, state = self._cast_plan(deepest)
+        entries.extend(self._search(state, targets, deepest))
+        return Schedule(entries)
+
+    def _cast_plan(self, target_class: str):
+        """Entries casting down to target_class (a descendant or the class
+        itself), and the property-key state they leave."""
+        entries: list[RuleSpec | CastStep] = []
+        state = frozenset(self._store)
+        cur_class = self.class_tag
+        chain = self.rulebase.ancestors(target_class)
+        for cls_name in reversed(chain[:chain.index(cur_class)]):
+            for key, _ in self.rulebase.class_spec(cls_name).preconditions:
+                plan = self._search(state, (key,), cur_class)
+                entries.extend(plan)
+                state = state.union(*(r.targets for r in plan))
+            entries.append(CastStep(cls_name))
+            cur_class = cls_name
+        return entries, state
 
     def _search(self, start: frozenset, targets: tuple[str, ...],
                 class_name: str) -> list[RuleSpec]:
@@ -381,44 +383,29 @@ class ComputationObject:
     # -- casting and requests ----------------------------------------
 
     def cast_if_needed(self, target_class: str):
-        """Cast down to target_class, computing preconditions on demand."""
+        """Cast down to target_class, deriving preconditions on demand."""
         if self.rulebase.is_same_or_descendant(self.class_tag, target_class):
             return
         if not self.rulebase.is_same_or_descendant(target_class, self.class_tag):
             raise PolylatError(
                 f"{target_class} is not a descendant of {self.class_tag}")
-        chain = self.rulebase.ancestors(target_class)
-        pending = list(reversed(chain[:chain.index(self.class_tag)]))
-        for cls_name in pending:
-            self._perform_cast(cls_name, compute_missing=True)
+        Schedule(self._cast_plan(target_class)[0]).apply(self)
 
-    def _perform_cast(self, cls_name: str, *, compute_missing: bool):
+    def _perform_cast(self, cls_name: str):
+        """Flip the class tag; Schedule.apply has checked the values."""
         if self.rulebase.is_same_or_descendant(self.class_tag, cls_name):
             return
-        spec = self.rulebase.class_spec(cls_name)
-        for key, wanted in spec.preconditions:
-            if compute_missing:
-                value = self.request(key)
-            else:
-                if key not in self._store:
-                    raise PolylatError(
-                        f"cast to {cls_name} scheduled before its "
-                        f"precondition {key} was computed")
-                value = self._store[key]
-            if value is not wanted:
-                raise CastRefusedError(cls_name, key, value)
+        for key, _ in self.rulebase.class_spec(cls_name).preconditions:
+            if key not in self._store:
+                raise PolylatError(
+                    f"cast to {cls_name} scheduled before its "
+                    f"precondition {key} was computed")
         self.class_tag = cls_name
 
     def request(self, key: str):
-        """Cached value if present, otherwise schedule + apply, then read."""
-        self.rulebase.property_spec(key)
-        if key in self._store:
-            return self._store[key]
-        owner = self.rulebase.property_spec(key).klass
-        if not self.rulebase.is_same_or_descendant(self.class_tag, owner):
-            self.cast_if_needed(owner)
-        schedule = self.get_schedule(key)
-        schedule.apply(self)
+        """Cached value if present, otherwise get_schedule + apply, then read."""
+        if key not in self._store:
+            self.get_schedule(key).apply(self)
         return self._store[key]
 
     def __repr__(self) -> str:

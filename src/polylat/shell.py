@@ -18,16 +18,16 @@ from typing import Callable
 
 from . import objectfile
 from .errors import PolylatError, ShellError
-from .exactmath import All, Matrix, Vector, _AllType
+from .exactmath import All, Matrix, Vector
 from .exactmath import all_subsets_of_k as _subsets
 from .exactmath import det as _det
 from .exactmath import lin_solve as _lin_solve
 from .exactmath import minor as _minor
 from .exactmath import primitive_rational as _primitive_rational
 from .exactmath import rank as _rank
-from .geomcore import IncidenceMatrix, cross, cube, from_points
+from .geomcore import cross, cube, from_points
 from .graphiso import Graph, isomorphic
-from .ruleengine import ComputationObject, Schedule
+from .ruleengine import ClassSpec, ComputationObject, Schedule
 
 
 class IncompleteInputError(ShellError):
@@ -519,47 +519,25 @@ def unparse(stmts) -> str:
 # values and formatting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TypeInfo:
-    name: str
-    full_name: str
-
-
 def format_value(v) -> str:
     if v is None:
         return "undef"
     if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, (int, Fraction)):
-        return str(v)
     if isinstance(v, str):
         return v
-    if isinstance(v, Vector):
-        return str(v)
-    if isinstance(v, Matrix):
-        return str(v)
     if isinstance(v, (frozenset, set)):
         return "{" + " ".join(str(x) for x in sorted(v)) + "}"
     if isinstance(v, tuple):
         return "{" + " ".join(str(x) for x in v) + "}"
-    if isinstance(v, IncidenceMatrix):
-        return str(v)
-    if isinstance(v, Graph):
-        return str(v)
-    if isinstance(v, Schedule):
-        return str(v)
-    if isinstance(v, TypeInfo):
+    if isinstance(v, ClassSpec):
         return v.full_name
     if isinstance(v, range):
         return f"{v.start}..{v.stop - 1}"
-    if isinstance(v, ComputationObject):
-        return repr(v)
     if isinstance(v, list):
         if all(isinstance(x, str) for x in v):
             return ", ".join(v)
         return "\n".join(format_value(x) for x in v)
-    if isinstance(v, _AllType):
-        return "All"
     return str(v)
 
 
@@ -657,8 +635,7 @@ def _builtin(env: Environment, name: str, args, kwargs, line):
 def _access(env: Environment, value, name: str, args, line):
     if isinstance(value, ComputationObject):
         if name == "type":
-            spec = value.rulebase.class_spec(value.class_tag)
-            return TypeInfo(spec.name, spec.full_name)
+            return value.rulebase.class_spec(value.class_tag)
         if name == "list_properties":
             return value.list_properties()
         if name == "get_schedule":
@@ -689,11 +666,8 @@ def _access(env: Environment, value, name: str, args, line):
         if name == "ADJACENCY":
             return value
         raise ShellError(f"unknown member {name!r} on graph", line)
-    if isinstance(value, TypeInfo):
-        if name == "full_name":
-            return value.full_name
-        if name == "name":
-            return value.name
+    if isinstance(value, ClassSpec) and name in ("name", "full_name"):
+        return getattr(value, name)
     raise ShellError(
         f"cannot access {name!r} on {type(value).__name__}", line)
 
@@ -895,7 +869,3 @@ def main(argv=None) -> int:
     finally:
         if hook is not None:
             DEFAULT_RULEBASE.trace_hooks.remove(hook)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

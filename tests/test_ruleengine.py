@@ -17,6 +17,7 @@ from polylat.errors import (
     UnsatisfiableRequestError,
 )
 from polylat.ruleengine import (
+    CastStep,
     ClassSpec,
     ComputationObject,
     Kind,
@@ -265,6 +266,23 @@ class TestCasting:
         s.apply(obj)
         assert obj.get("Z") is not None
         assert obj.class_tag == "Derived"
+
+    def test_hand_built_cast_needs_computed_preconditions(self):
+        obj = fresh(make_rulebase())
+        with pytest.raises(PolylatError) as exc:
+            Schedule([CastStep("Derived")]).apply(obj)
+        assert "before its precondition GOOD" in str(exc.value)
+        assert obj.class_tag == "Base"
+
+    def test_cast_refused_before_the_next_entry(self):
+        rb = make_rulebase()
+        obj = fresh(rb)
+        obj.take("GOOD", False)
+        rule_b = next(r for r in rb.rules if r.id == "B:A")
+        with pytest.raises(CastRefusedError) as exc:
+            Schedule([rule_b, CastStep("Derived")]).apply(obj)
+        assert exc.value.condition == "GOOD"
+        assert "B" not in obj  # refused before B:A ran
 
     def test_casting_is_monotone(self):
         obj = fresh(make_rulebase())

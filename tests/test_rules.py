@@ -3,17 +3,21 @@
 import importlib.util
 import itertools
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 from polylat.errors import (
+    CastRefusedError,
     GeometryError,
     NotFullDimensionalError,
+    PolylatError,
     RuleBodyError,
 )
 from polylat.exactmath import Matrix, Vector
 from polylat.geomcore import cross, cube, from_points
-from polylat.rules import fresh_rulebase
+from polylat.ruleengine import RuleSpec
+from polylat.rules import PROPERTIES, fresh_rulebase
 
 M_ROWS = [
     (0, 1, 0, 0, 0, 0),
@@ -184,3 +188,62 @@ def test_class_stays_after_base_requests(rb):
     p.request("GRAPH")
     p.request("N_LATTICE_POINTS")
     assert p.class_tag == "LatticePolytope"
+
+
+LINE_ROWS = [(1, 0, 0), (0, 1, 0), (0, -1, 0)]  # a point plus a line
+
+# births that the LatticePolytope cast accepts or refuses for each reason
+BIRTHS = {
+    "cube": lambda rb: cube(3, rulebase=rb),
+    "cross": lambda rb: cross(3, rulebase=rb),
+    "lattice triangle": lambda rb: from_points(
+        Matrix([(1, 0, 0), (1, 1, 0), (1, 0, 1)]), rulebase=rb),
+    "non-lattice triangle": lambda rb: from_points(
+        Matrix([(1, Fraction(1, 2), 0), (1, 1, 1), (1, 0, 1)]), rulebase=rb),
+    "pointed cone": lambda rb: from_points(
+        Matrix([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), rulebase=rb),
+    "line": lambda rb: from_points(Matrix(LINE_ROWS), rulebase=rb),
+}
+
+
+def _outcome(rb, obj, action):
+    """Rules fired, error raised, class and stored keys after action(obj)."""
+    fired = []
+    rb.trace_hooks.append(lambda rule, o: fired.append(rule.id))
+    try:
+        action(obj)
+        error = None
+    except PolylatError as exc:
+        error = (type(exc), str(exc))
+    finally:
+        rb.trace_hooks.pop()
+    return fired, error, obj.class_tag, obj.list_properties()
+
+
+@pytest.mark.parametrize("birth", BIRTHS)
+def test_request_runs_the_printed_schedule(rb, birth):
+    for key, _, _ in PROPERTIES:
+        printed = []
+
+        def plan_and_apply(obj):
+            schedule = obj.get_schedule(key)
+            printed.extend(e.id for e in schedule.entries
+                           if isinstance(e, RuleSpec))
+            schedule.apply(obj)
+
+        planned = _outcome(rb, BIRTHS[birth](rb), plan_and_apply)
+        requested = _outcome(rb, BIRTHS[birth](rb), lambda o: o.request(key))
+        assert requested == planned, key
+        if requested[1] is None:
+            assert requested[0] == printed, key
+
+
+def test_line_refused_on_bounded_by_both_paths(rb):
+    for run in (lambda o: o.request("REFLEXIVE"),
+                lambda o: o.get_schedule("REFLEXIVE").apply(o)):
+        obj = from_points(Matrix(LINE_ROWS), rulebase=rb)
+        with pytest.raises(CastRefusedError) as exc:
+            run(obj)
+        assert exc.value.condition == "BOUNDED"
+        assert obj.class_tag == "Polytope"
+        assert obj.list_properties() == ["POINTS", "BOUNDED"]

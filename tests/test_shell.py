@@ -5,7 +5,7 @@ import io
 import pytest
 
 from polylat.errors import ObjectFileError, ShellError
-from polylat.exactmath import Matrix, Vector
+from polylat.exactmath import All, Matrix, Vector
 from polylat.geomcore import cube, from_points
 from polylat.objectfile import load_object, save_object
 from polylat.rules import fresh_rulebase
@@ -256,6 +256,28 @@ class TestFormatting:
     def test_absent_value(self):
         assert format_value(None) == "undef"
 
+    def test_engine_values(self):
+        p = cube(2, rulebase=fresh_rulebase())
+        assert format_value(p.get("VERTICES_IN_FACETS")) == \
+            "{2 3}\n{1 3}\n{0 2}\n{0 1}"
+        assert format_value(p.request("GRAPH")) == \
+            "{1 2}\n{0 3}\n{0 3}\n{1 2}"
+        assert format_value(p.get_schedule("REFLEXIVE")).splitlines() == [
+            "AFFINE_HULL : FACETS", "VERTICES : FACETS, AFFINE_HULL",
+            "LATTICE : VERTICES, BOUNDED", "(cast to LatticePolytope)",
+            "REFLEXIVE : FACETS, AFFINE_HULL"]
+        assert format_value(All) == "All"
+        assert format_value(p) == "<Polytope object with 8 properties>"
+
+    def test_type_prints_class_names(self):
+        out, _ = run(
+            "P = cube(3)\nprint P.type\nprint P.type.name\n"
+            "print P.type.full_name\nprint P.REFLEXIVE\nprint P.type\n"
+            "print P.type.name")
+        assert out.splitlines() == [
+            "Polytope<Rational>", "Polytope", "Polytope<Rational>", "1",
+            "LatticePolytope", "LatticePolytope"]
+
 
 class TestScheduleprint:
     def test_reflexive_schedule_text(self):
@@ -333,6 +355,30 @@ class TestObjectFile:
             load_object(path, rulebase=fresh_rulebase())
         assert "NO_SUCH_KEY" in str(exc.value)
 
+    def test_forged_class_refused(self, tmp_path):
+        # a non-lattice triangle cannot claim the LatticePolytope class
+        path = tmp_path / "forged.poly"
+        path.write_text("CLASS\nLatticePolytope\n\n"
+                        "POINTS\n1 1/2 0\n1 1 1\n1 0 1\n")
+        with pytest.raises(ObjectFileError) as exc:
+            load_object(path, rulebase=fresh_rulebase())
+        assert str(exc.value) == ("section CLASS: cannot cast to "
+                                  "LatticePolytope: precondition LATTICE is 0")
+        # nor can an object whose preconditions cannot be derived
+        path.write_text("CLASS\nLatticePolytope\n\nAMBIENT_DIM\n2\n")
+        with pytest.raises(ObjectFileError) as exc:
+            load_object(path, rulebase=fresh_rulebase())
+        assert str(exc.value) == ("section CLASS: no rule chain produces: "
+                                  "BOUNDED")
+
+    def test_class_preconditions_derived_on_load(self, tmp_path):
+        path = tmp_path / "triangle.poly"
+        path.write_text("CLASS\nLatticePolytope\n\n"
+                        "POINTS\n1 0 0\n1 1 0\n1 0 1\n")
+        q = load_object(path, rulebase=fresh_rulebase())
+        assert q.class_tag == "LatticePolytope"
+        assert q.get("BOUNDED") is True and q.get("LATTICE") is True
+
     def test_class_must_come_first(self, tmp_path):
         path = tmp_path / "bad.poly"
         path.write_text("BOUNDED\n1\n")
@@ -380,6 +426,18 @@ class TestCli:
     def test_eval_zero_denominator_exits_1(self, capsys):
         assert main(["--eval", "print 1/0"]) == 1
         assert "zero denominator" in capsys.readouterr().err
+
+    def test_python_dash_m_polylat(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+        src = pathlib.Path(__file__).parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "polylat", "--eval", "print 1+1"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
 
     def test_trace_rules_flag(self, capsys):
         status = main(["--trace-rules", "--eval",
