@@ -141,10 +141,6 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def n_rows(self) -> int:
         return len(self.rows)
@@ -168,17 +164,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix([[self.rows[i][j] for i in range(self.n_rows)]
                        for j in range(self.n_cols)], n_cols=self.n_rows)
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.n_cols != other.n_rows:
-            raise DimensionError(
-                f"cannot multiply {self.n_rows}x{self.n_cols} by "
-                f"{other.n_rows}x{other.n_cols}")
-        ot = other.transpose()
-        return Matrix(
-            [[sum((a * b for a, b in zip(row, col)), Fraction(0))
-              for col in ot.rows] for row in self.rows],
-            n_cols=other.n_cols)
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.rows for x in row)

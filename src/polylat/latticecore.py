@@ -1,9 +1,13 @@
 """Lattice properties: point counts, Ehrhart data, h*, Hilbert bases.
 
-The lattice is always Z^n.  Counting is by direct bounding-box
-enumeration; Hilbert bases come from a placing triangulation of the
-generators plus half-open parallelepiped points, followed by a
-reducibility scan.
+The lattice is always Z^n.  Lattice points are listed by bounding-box
+enumeration.  Ehrhart counts and h* come from a half-open triangulation
+of the cone over the polytope (Koeppe & Verdoolaege, "Computing
+parametric rational generating functions with a primal Barvinok
+algorithm", Electron. J. Combin. 15, 2008): h*_j counts the half-open
+parallelepiped points at height j, and no dilate is scanned.  Hilbert
+bases come from a placing triangulation of the generators plus half-open
+parallelepiped points, followed by a reducibility scan.
 """
 
 from __future__ import annotations
@@ -101,7 +105,15 @@ def interior_rows(points: Matrix, facets: Matrix) -> Matrix:
 def ehrhart_counts(vertices: Matrix, facets: Matrix, k_max: int) -> tuple[int, ...]:
     """Lattice point counts of the dilates 0P, 1P, ..., k_max P.
 
-    Requires a full-dimensional bounded lattice polytope.
+    Requires a full-dimensional bounded lattice polytope.  The placing
+    triangulation of the cone over the vertices is made half-open with the
+    vertex sum as generic point, so the cone is the disjoint union of its
+    half-open simplicial cones (Koeppe & Verdoolaege, EJC 2008).  Every
+    lattice point of such a cone is one point of its half-open
+    parallelepiped plus a nonnegative integer combination of generators,
+    each at height 1.  So h*_j is the number of parallelepiped points at
+    height j, and E(k) = sum_j h*_j C(k - j + d, d).  ``facets`` is not
+    needed.
     """
     if any(row[0] != 1 for row in vertices.rows):
         raise GeometryError("Ehrhart counts need a bounded polytope")
@@ -110,14 +122,15 @@ def ehrhart_counts(vertices: Matrix, facets: Matrix, k_max: int) -> tuple[int, .
     if rank(vertices) != vertices.n_cols:
         raise NotFullDimensionalError(
             "Ehrhart counts need a full-dimensional polytope")
-    counts = [1]
-    for k in range(1, k_max + 1):
-        vk = Matrix([(row[0],) + tuple(k * x for x in row[1:])
-                     for row in vertices.rows], n_cols=vertices.n_cols)
-        fk = Matrix([(k * row[0],) + tuple(row[1:])
-                     for row in facets.rows], n_cols=facets.n_cols)
-        counts.append(lattice_points(vk, fk).n_rows)
-    return tuple(counts)
+    d = vertices.n_cols - 1
+    gens = sorted(tuple(int(x) for x in row) for row in vertices.rows)
+    generic = [sum(col) for col in zip(*gens)]
+    hs = [0] * (d + 1)
+    for s in placing_triangulation(gens):
+        for x in parallelepiped_points([gens[j] for j in s], generic):
+            hs[x[0]] += 1
+    return tuple(sum(h * math.comb(k - j + d, d) for j, h in enumerate(hs))
+                 for k in range(k_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +274,23 @@ def placing_triangulation(generators: Sequence[IntRow]) -> list[tuple[int, ...]]
     return simplices
 
 
-def parallelepiped_points(gen_rows: Sequence[IntRow]) -> list[IntRow]:
+def parallelepiped_points(gen_rows: Sequence[IntRow],
+                          generic: Sequence[int] | None = None
+                          ) -> list[IntRow]:
     """Integer points of the half-open parallelepiped of a simplicial cone.
 
     For independent generators g_1..g_k these are the points
-    sum lambda_i g_i with 0 <= lambda_i < 1.  Enumeration runs over a
-    complete residue system derived from the Hermite normal form of the
-    pivot-column minor gp.  gp^T is factored once, together with the
-    identity that carries the right-hand sides, and each residue costs one
+    sum lambda_i g_i with 0 <= lambda_i < 1.  Given a ``generic`` point y
+    of their span, facet i (where lambda_i = 0) is open instead when y,
+    perturbed lexicographically along the pivot coordinates, lies on its
+    negative side: there lambda_i runs over (0, 1], so a point with
+    lambda_i = 0 moves up by g_i.  The cones of a triangulation, made
+    half-open by one such y, partition the whole cone.
+
+    Enumeration runs over a complete residue system derived from the
+    Hermite normal form of the pivot-column minor gp.  gp^T is factored
+    once, together with the identity that carries the right-hand sides;
+    each residue, and each coordinate of y's perturbation, costs one
     integer back-substitution.
     """
     k = len(gen_rows)
@@ -281,15 +303,32 @@ def parallelepiped_points(gen_rows: Sequence[IntRow]) -> list[IntRow]:
     ech, ech_pivots, _ = echelon([[gp[i][j] for i in range(k)]
                                   + [int(i == j) for i in range(k)]
                                   for j in range(k)], k)
+
+    def solve(x: Sequence[int]) -> tuple[list[int], int]:
+        """(y, d) with d > 0 and gp^T (y / d) = x."""
+        rhs = [sum(a * b for a, b in zip(row[k:], x)) for row in ech]
+        y, d = back_substitute(ech, ech_pivots, rhs)
+        return ([-v for v in y], -d) if d < 0 else (y, d)
+
+    # side[i] has the sign of lambda_i(y + eps e_1 + eps^2 e_2 + ...) for
+    # small eps > 0: the first nonzero of lambda_i(y), lambda_i(e_1), ...,
+    # lambda_i(e_k), which exists because gp^-T has no zero row
+    side = [0] * k
+    if generic is not None:
+        for x in ([[generic[c] for c in pivots]]
+                  + [[int(i == j) for i in range(k)] for j in range(k)]):
+            if all(side):
+                break
+            y, _ = solve(x)
+            side = [s or v for s, v in zip(side, y)]
+
     out = []
     for resid in itertools.product(*(range(int(h.rows[i][i]))
                                      for i in range(k))):
-        rhs = [sum(a * b for a, b in zip(row[k:], resid)) for row in ech]
-        y, d = back_substitute(ech, ech_pivots, rhs)
-        if d < 0:
-            y, d = [-v for v in y], -d
-        # lambda_i = y_i / d; its fractional part is (y_i mod d) / d
-        t = [v % d for v in y]
+        y, d = solve(resid)
+        # lambda_i = y_i / d; its fractional part is (y_i mod d) / d, or
+        # d / d on an open facet
+        t = [v % d or (d if s < 0 else 0) for v, s in zip(y, side)]
         x = [sum(ti * row[c] for ti, row in zip(t, gen_rows))
              for c in range(width)]
         if all(v % d == 0 for v in x):

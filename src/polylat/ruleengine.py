@@ -186,8 +186,8 @@ class RuleBase:
     def ancestors(self, name: str) -> list[str]:
         """name itself, then its parents up to the root."""
         chain = [name]
-        while self._classes[chain[-1]].parent is not None:
-            chain.append(self._classes[chain[-1]].parent)
+        while (parent := self.class_spec(chain[-1]).parent) is not None:
+            chain.append(parent)
         return chain
 
     def is_same_or_descendant(self, name: str, ancestor: str) -> bool:

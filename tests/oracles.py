@@ -2,10 +2,13 @@
 
 The oracles share no code with the fraction-free elimination kernel in
 ``polylat.exactmath``: they work on ``Fraction`` entries by textbook
-cofactor expansion, Cramer's rule and Gauss-Jordan elimination.
+cofactor expansion, Cramer's rule and Gauss-Jordan elimination.  The
+Ehrhart oracle counts the lattice points of each dilate by scanning its
+bounding box.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -124,6 +127,42 @@ def boxscan_parallelepiped(gens):
         if lam is not None and all(0 <= c < 1 for c in lam):
             out.append(tuple(x))
     return sorted(out)
+
+
+def boxscan_ehrhart_counts(vertices, facets, k_max):
+    """Lattice point counts of kP for k = 0 .. k_max, P given by its
+    homogeneous vertex rows (1, v) and facet rows (b, a) meaning
+    b + a.x >= 0: every integer point of the bounding box of kP is tested
+    against the facet rows, each scaled to integers."""
+    verts = [[Fraction(x) for x in v] for v in vertices]
+    rows = []
+    for f in facets:
+        f = [Fraction(x) for x in f]
+        m = math.lcm(*(x.denominator for x in f))
+        rows.append([int(x * m) for x in f])
+    d = len(verts[0]) - 1
+    counts = []
+    for k in range(k_max + 1):
+        box = [range(math.ceil(k * min(v[j] for v in verts)),
+                     math.floor(k * max(v[j] for v in verts)) + 1)
+               for j in range(1, d + 1)]
+        counts.append(sum(
+            all(k * f[0] + sum(a * b for a, b in zip(f[1:], xs)) >= 0
+                for f in rows)
+            for xs in itertools.product(*box)))
+    return tuple(counts)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Matrix product."""
+    assert a.n_cols == b.n_rows
+    return Matrix([[sum((x * y for x, y in zip(row, col)), Fraction(0))
+                    for col in zip(*b.rows)] for row in a.rows],
+                  n_cols=b.n_cols)
+
+
+def identity_matrix(n: int) -> Matrix:
+    return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:

@@ -24,7 +24,14 @@ from polylat.exactmath import (
     primitive_rational,
     rank,
 )
-from oracles import cofactor_det, cramer_solve, mat_vec, zero_matrix
+from oracles import (
+    cofactor_det,
+    cramer_solve,
+    identity_matrix,
+    mat_mul,
+    mat_vec,
+    zero_matrix,
+)
 
 # The 10x6 generator matrix of the counter-example cone, used throughout.
 M_ROWS = [
@@ -70,7 +77,7 @@ class TestVectorMatrix:
     def test_matrix_multiply(self):
         a = Matrix([[1, 2], [3, 4]])
         b = Matrix([[0, 1], [1, 0]])
-        assert a.mul(b) == Matrix([[2, 1], [4, 3]])
+        assert mat_mul(a, b) == Matrix([[2, 1], [4, 3]])
         assert mat_vec(a, Vector([1, 1])) == Vector([3, 7])
 
     def test_transpose(self):
@@ -81,7 +88,7 @@ class TestVectorMatrix:
 
 class TestDet:
     def test_identity(self):
-        assert det(Matrix.identity(3)) == 1
+        assert det(identity_matrix(3)) == 1
 
     def test_permutation(self):
         assert det(Matrix([[0, 1], [1, 0]])) == -1
@@ -114,7 +121,7 @@ class TestDet:
 
 class TestLinSolve:
     def test_identity(self):
-        x = lin_solve(Matrix.identity(3), Vector([1, 2, 3]))
+        x = lin_solve(identity_matrix(3), Vector([1, 2, 3]))
         assert x == Vector([1, 2, 3])
 
     def test_inconsistent_is_absent(self):
@@ -125,7 +132,7 @@ class TestLinSolve:
 
     def test_dimension_mismatch_is_error(self):
         with pytest.raises(DimensionError):
-            lin_solve(Matrix.identity(3), Vector([1, 2]))
+            lin_solve(identity_matrix(3), Vector([1, 2]))
 
     def test_witness_system_vs_cramer_oracle(self):
         rows = [M_ROWS[i] for i in range(6)]
@@ -171,7 +178,7 @@ class TestMinor:
 
     def test_out_of_range(self):
         with pytest.raises(DimensionError):
-            minor(Matrix.identity(2), {0, 5})
+            minor(identity_matrix(2), {0, 5})
 
     def test_column_selection(self):
         m = Matrix([[1, 2, 3], [4, 5, 6]])
@@ -199,9 +206,9 @@ class TestSubsets:
 
 class TestHnf:
     def test_identity(self):
-        h, u = hermite_normal_form(Matrix.identity(3))
-        assert h == Matrix.identity(3)
-        assert u == Matrix.identity(3)
+        h, u = hermite_normal_form(identity_matrix(3))
+        assert h == identity_matrix(3)
+        assert u == identity_matrix(3)
 
     def test_already_hnf(self):
         m = Matrix([[2, 0], [0, 3]])
@@ -211,7 +218,7 @@ class TestHnf:
     def test_contract_on_example(self):
         m = Matrix([[1, 2], [3, 4]])
         h, u = hermite_normal_form(m)
-        assert u.mul(m) == h
+        assert mat_mul(u, m) == h
         assert abs(det(u)) == 1
         assert abs(det(h)) == 2
 
@@ -223,7 +230,7 @@ class TestHnf:
             m = Matrix([[rng.randint(-6, 6) for _ in range(nc)]
                         for _ in range(nr)])
             h, u = hermite_normal_form(m)
-            assert u.mul(m) == h
+            assert mat_mul(u, m) == h
             assert abs(det(u)) == 1
             if nr == nc:
                 assert abs(det(h)) == abs(det(m))
@@ -239,7 +246,7 @@ class TestHnf:
     def test_pivots_positive_and_reduced(self):
         m = Matrix([[4, 7], [2, 3]])
         h, u = hermite_normal_form(m)
-        assert u.mul(m) == h
+        assert mat_mul(u, m) == h
         for r, row in enumerate(h.rows):
             nz = [j for j, x in enumerate(row) if x != 0]
             if not nz:
@@ -255,7 +262,7 @@ class TestRank:
         assert rank(zero_matrix(3, 4)) == 0
 
     def test_identity(self):
-        assert rank(Matrix.identity(5)) == 5
+        assert rank(identity_matrix(5)) == 5
 
     def test_m_has_full_column_rank(self):
         assert rank(Matrix(M_ROWS)) == 6

@@ -42,7 +42,11 @@ from polylat.latticecore import (
     reflexive,
     smooth,
 )
-from oracles import boxscan_parallelepiped, n_interior_from_hstar
+from oracles import (
+    boxscan_ehrhart_counts,
+    boxscan_parallelepiped,
+    n_interior_from_hstar,
+)
 
 M_ROWS = [
     (0, 1, 0, 0, 0, 0),
@@ -273,6 +277,79 @@ class TestHStar:
             done += 1
 
 
+def random_lattice_polytope(rng, d, radius):
+    """Vertices and facets of conv of random points of [-radius, radius]^d,
+    mirrored through the origin half of the time (symmetric polytopes put
+    lattice points on the walls of their triangulations)."""
+    while True:
+        pts = {tuple(rng.randint(-radius, radius) for _ in range(d))
+               for _ in range(rng.randint(d + 1, d + 5))}
+        if rng.random() < 0.5:
+            pts |= {tuple(-x for x in p) for p in pts}
+        facets, hull = facets_from_points(
+            Matrix(sorted((1,) + p for p in pts)))
+        if not hull.n_rows:
+            return vertices_from_facets(facets, hull), facets
+
+
+def shifted_points(verts):
+    """Parallelepiped points that the half-open triangulation behind
+    ``ehrhart_counts`` moves off an open wall."""
+    gens = sorted(tuple(int(x) for x in row) for row in verts.rows)
+    generic = [sum(col) for col in zip(*gens)]
+    moved = 0
+    for s in placing_triangulation(gens):
+        plain = parallelepiped_points([gens[j] for j in s])
+        half_open = parallelepiped_points([gens[j] for j in s], generic)
+        moved += len(set(half_open) - set(plain))
+    return moved
+
+
+class TestEhrhartAgainstBoxScan:
+    """``ehrhart_counts`` (half-open triangulation) against the dilate box
+    scan of ``oracles.boxscan_ehrhart_counts``."""
+
+    @staticmethod
+    def check(verts, facets, k_max):
+        counts = ehrhart_counts(verts, facets, k_max)
+        assert counts == boxscan_ehrhart_counts(verts.rows, facets.rows,
+                                                k_max)
+        return counts
+
+    def test_cubes_and_cross_polytopes(self):
+        for make, dims in ((cube, (3, 4)), (cross, (3, 4, 5))):
+            for d in dims:
+                p = make(d)
+                self.check(p.request("VERTICES"), p.request("FACETS"),
+                           d if d <= 4 else 2)
+
+    def test_random_lattice_polytopes_2_to_5d(self):
+        rng = random.Random(20261018)
+        moved = 0
+        for d, n_cases, radius in ((2, 12, 3), (3, 10, 2), (4, 6, 1),
+                                   (5, 3, 1)):
+            for _ in range(n_cases):
+                verts, facets = random_lattice_polytope(rng, d, radius)
+                self.check(verts, facets, d if d <= 4 else 2)
+                moved += shifted_points(verts)
+        assert moved > 0  # some open walls carried parallelepiped points
+
+    def test_beyond_k_equal_d(self):
+        p = cube(3)
+        counts = self.check(p.request("VERTICES"), p.request("FACETS"), 6)
+        assert counts == tuple((2 * k + 1) ** 3 for k in range(7))
+        verts, facets = random_lattice_polytope(random.Random(3), 2, 3)
+        self.check(verts, facets, 7)
+
+    def test_cross6_and_cube5_hstar(self):
+        for p, want in ((cross(6), [1, 6, 15, 20, 15, 6, 1]),
+                        (cube(5), [1, 237, 1682, 1682, 237, 1])):
+            d = len(want) - 1
+            counts = ehrhart_counts(p.request("VERTICES"),
+                                    p.request("FACETS"), d)
+            assert h_star(counts, d) == Vector(want)
+
+
 def _interpolate(values, at):
     """Lagrange evaluation of the degree-(len-1) interpolant at a point."""
     n = len(values)
@@ -370,6 +447,19 @@ class TestParallelepiped:
         for gens in cases:
             assert sorted(parallelepiped_points(gens)) == \
                 boxscan_parallelepiped(gens)
+
+    def test_open_facet_moves_point_up(self):
+        # lambda(y) = (-1, 1): facet 0 is open, so 0 moves up to g_0
+        assert parallelepiped_points([(1, 0), (0, 1)], (-1, 1)) == [(1, 0)]
+        # both facets open: 0 becomes g_0 + g_1, (1, 0) keeps its place
+        assert sorted(parallelepiped_points([(1, -1), (1, 1)], (-2, 0))) \
+            == [(1, 0), (2, 0)]
+
+    def test_generic_point_on_a_wall_is_perturbed(self):
+        # lambda(y) = (0, 1): y lies on facet 0, and lambda_0 of the
+        # perturbation e_0 decides; -1 opens the facet, +1 closes it
+        assert parallelepiped_points([(-1, 0), (0, 1)], (0, 1)) == [(-1, 0)]
+        assert parallelepiped_points([(1, 0), (0, 1)], (0, 1)) == [(0, 0)]
 
     def test_lower_dimensional_cone(self):
         gens = [(1, 1, 0), (1, 3, 0)]

@@ -247,3 +247,10 @@ def test_line_refused_on_bounded_by_both_paths(rb):
         assert exc.value.condition == "BOUNDED"
         assert obj.class_tag == "Polytope"
         assert obj.list_properties() == ["POINTS", "BOUNDED"]
+
+
+def test_unknown_cast_target_names_the_class(rb):
+    obj = cube(2, rulebase=rb)
+    with pytest.raises(PolylatError, match="unknown class 'Nope'"):
+        obj.cast_if_needed("Nope")
+    assert obj.class_tag == "Polytope"
