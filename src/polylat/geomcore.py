@@ -11,6 +11,7 @@ the projectively equivalent polytope, far facet included.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -307,23 +308,30 @@ def incidence(vertices: Matrix, facets: Matrix) -> IncidenceMatrix:
 
 
 class HasseDiagram:
-    """Graded face lattice, nodes are (vertex index set, dimension)."""
+    """Graded face lattice: nodes (vertex index set, dimension) in
+    ascending dimension, edges the covers (lower id, upper id).  The upward
+    cover lists are built once, in ascending node order, from checked input.
+    """
 
     def __init__(self, nodes: Sequence[tuple[frozenset[int], int]],
                  edges: Iterable[tuple[int, int]], n_vertices: int):
         self.nodes: tuple[tuple[frozenset[int], int], ...] = tuple(
             (frozenset(s), int(d)) for s, d in nodes)
-        self.edges: frozenset[tuple[int, int]] = frozenset(
-            (int(a), int(b)) for a, b in edges)
+        self.edges: frozenset[tuple[int, int]] = frozenset(map(tuple, edges))
         self.n_vertices = int(n_vertices)
-
-    @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
-    def top(self) -> int:
-        return len(self.nodes) - 1
+        dims = [d for _, d in self.nodes]
+        if dims != sorted(dims):
+            raise GeometryError("face lattice nodes not in ascending dimension")
+        if any(v < 0 or v >= self.n_vertices for s, _ in self.nodes for v in s):
+            raise GeometryError("face lattice vertex index out of range")
+        self._up: list[list[int]] = [[] for _ in self.nodes]
+        for a, b in sorted(self.edges):
+            if not (0 <= a < len(self.nodes) and 0 <= b < len(self.nodes)):
+                raise GeometryError(f"cover {a} {b}: node index out of range")
+            if dims[b] != dims[a] + 1 or not self.nodes[a][0] < self.nodes[b][0]:
+                raise GeometryError(f"cover {a} {b} is not a face inclusion "
+                                    "across consecutive dimensions")
+            self._up[a].append(b)
 
     @property
     def dim(self) -> int:
@@ -336,10 +344,7 @@ class HasseDiagram:
         return [i for i, (_, dd) in enumerate(self.nodes) if dd == d]
 
     def covers_above(self, i: int) -> list[int]:
-        return sorted(b for a, b in self.edges if a == i)
-
-    def covers_below(self, i: int) -> list[int]:
-        return sorted(a for a, b in self.edges if b == i)
+        return self._up[i]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HasseDiagram)
@@ -354,59 +359,61 @@ class HasseDiagram:
                 f"{self.n_vertices} vertices)")
 
 
-def hasse_diagram(inc: IncidenceMatrix) -> HasseDiagram:
-    """Build the full face lattice bottom-up from vertex-facet incidence.
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
 
-    A face is the closure of a vertex set S: the vertices lying in every
-    facet containing S.  Covers of a face are the minimal closures obtained
-    by joining it with one more vertex.
+
+def hasse_diagram(inc: IncidenceMatrix) -> HasseDiagram:
+    """Build the face lattice bottom-up from vertex-facet incidence.
+
+    Covers are found by counting (Kaibel & Pfetsch, "Computing the face
+    lattice of a polytope from its vertex-facet incidences", Comput. Geom.
+    23, 2002).  Every face G carries the mask of the facets containing it.
+    For a vertex v outside G, H_v is the meet of those facets that also
+    contain v; H covers G exactly when the number of vertices v with
+    H_v = H equals |H \\ G|.  Nodes are ordered by dimension, then by
+    their sorted vertex lists.
     """
     n = inc.n_vertices
     full = (1 << n) - 1
-    facet_masks = []
-    for r in inc.rows:
-        m = 0
-        for v in r:
-            m |= 1 << v
-        facet_masks.append(m)
+    facet_masks = [sum(1 << v for v in r) for r in inc.rows]
+    vertex_facets = [sum(1 << j for j, r in enumerate(inc.rows) if v in r)
+                     for v in range(n)]
 
-    def closure(mask: int) -> int:
-        c = full
-        for fm in facet_masks:
-            if mask & ~fm == 0:
-                c &= fm
-        return c
+    @functools.cache
+    def meet(facets: int) -> int:
+        h = full
+        for j in _bits(facets):
+            h &= facet_masks[j]
+        return h
 
-    def to_set(mask: int) -> frozenset[int]:
-        return frozenset(i for i in range(n) if mask >> i & 1)
-
-    bottom = closure(0)
-    nodes: list[tuple[frozenset[int], int]] = [(to_set(bottom), -1)]
-    ids = {bottom: 0}
+    all_facets = (1 << len(facet_masks)) - 1
+    bottom = meet(all_facets)
+    nodes: list[tuple[frozenset[int], int]] = [(frozenset(_bits(bottom)), -1)]
     edges: list[tuple[int, int]] = []
-    frontier = [bottom]
+    frontier = [(bottom, all_facets, 0)]  # (vertex mask, facet mask, node id)
     dim = -1
-    while frontier and not (len(frontier) == 1 and frontier[0] == full):
+    while not (len(frontier) == 1 and frontier[0][0] == full):
         dim += 1
-        next_level: set[int] = set()
-        cover_pairs: list[tuple[int, int]] = []
-        for face in frontier:
-            cands = set()
-            for v in range(n):
-                if not face >> v & 1:
-                    cands.add(closure(face | (1 << v)))
-            covers = [g for g in cands
-                      if not any(h != g and h & ~g == 0 for h in cands)]
-            for g in covers:
-                next_level.add(g)
-                cover_pairs.append((face, g))
-        ordered = sorted(next_level, key=lambda m: sorted(to_set(m)))
-        for g in ordered:
-            ids[g] = len(nodes)
-            nodes.append((to_set(g), dim))
-        for f, g in cover_pairs:
-            edges.append((ids[f], ids[g]))
-        frontier = ordered
+        level: dict[int, tuple[int, list[int]]] = {}
+        for g, g_facets, g_id in frontier:
+            count: dict[int, int] = {}
+            for v, v_facets in enumerate(vertex_facets):
+                if not g >> v & 1:
+                    key = g_facets & v_facets
+                    count[key] = count.get(key, 0) + 1
+            for key, c in count.items():
+                h = meet(key)
+                if c == (h & ~g).bit_count():
+                    level.setdefault(key, (h, []))[1].append(g_id)
+        frontier = []
+        for verts, h, key, below in sorted(
+                (_bits(h), h, key, below) for key, (h, below) in level.items()):
+            h_id = len(nodes)
+            frontier.append((h, key, h_id))
+            edges.extend((g_id, h_id) for g_id in below)
+            nodes.append((frozenset(verts), dim))
     return HasseDiagram(nodes, edges, n)
 
 
@@ -418,37 +425,39 @@ def f_vector(h: HasseDiagram) -> Vector:
 def f2_vector(h: HasseDiagram) -> Matrix:
     """Incidence-count matrix: entry (i, j) is the number of pairs of an
     i-face and a j-face with one contained in the other; diagonal is the
-    f-vector."""
-    d_top = h.dim
+    f-vector.
+
+    Walks the levels downward.  The mask of the nodes above a face is the
+    union over its upward covers, so only one level of masks is kept.  Bit
+    top - i stands for node i, so a mask is as wide as the levels above.
+    """
+    d_top, top = h.dim, len(h.nodes) - 1
     if d_top <= 0:
         return Matrix([], n_cols=max(d_top, 0))
-    proper = [i for i, (_, d) in enumerate(h.nodes) if 0 <= d < d_top]
-    dim_of = {i: h.nodes[i][1] for i in proper}
-    desc: dict[int, int] = {i: 0 for i in proper}
-    for i in sorted(proper, key=lambda k: dim_of[k]):
-        acc = 0
-        for below in h.covers_below(i):
-            if below in desc:
-                acc |= desc[below] | (1 << below)
-        desc[i] = acc
-    level_mask = [0] * d_top
-    for i in proper:
-        level_mask[dim_of[i]] |= 1 << i
     out = [[0] * d_top for _ in range(d_top)]
-    for i in proper:
-        di = dim_of[i]
-        out[di][di] += 1
-        for dj in range(di):
-            out[dj][di] += bin(desc[i] & level_mask[dj]).count("1")
-    for i in range(d_top):
-        for j in range(i):
-            out[i][j] = out[j][i]
+    level_mask = [0] * d_top
+    above: dict[int, int] = {}
+    for di in range(d_top - 1, -1, -1):
+        masks = {}
+        for i in h.node_ids_of_dim(di):
+            acc = 0
+            for b in h.covers_above(i):
+                acc |= above.get(b, 0) | 1 << (top - b)
+            masks[i] = acc
+            level_mask[di] |= 1 << (top - i)
+            for dj in range(di + 1, d_top):
+                k = (acc & level_mask[dj]).bit_count()
+                out[di][dj] += k
+                out[dj][di] += k
+        above = masks
+        out[di][di] = len(masks)
     return Matrix(out, n_cols=d_top)
 
 
 def skeleton_graphs(h: HasseDiagram, inc: IncidenceMatrix) -> tuple[Graph, Graph]:
     """Vertex-edge graph and facet-ridge (dual) graph of the face lattice.
 
+    The lattice is graded, so the covers of a ridge are its two facets.
     Dual graph nodes are numbered like the incidence rows.
     """
     g = Graph(h.n_vertices)
@@ -462,9 +471,8 @@ def skeleton_graphs(h: HasseDiagram, inc: IncidenceMatrix) -> tuple[Graph, Graph
     facet_index = {r: i for i, r in enumerate(inc.rows)}
     dual = Graph(len(inc.rows))
     if h.dim >= 2:
-        facet_ids = set(h.node_ids_of_dim(h.dim - 1))
         for ridge_id in h.node_ids_of_dim(h.dim - 2):
-            above = [a for a in h.covers_above(ridge_id) if a in facet_ids]
+            above = h.covers_above(ridge_id)
             if len(above) != 2:
                 raise InternalConsistencyError(
                     f"ridge contained in {len(above)} facets")

@@ -20,10 +20,6 @@ from .graphiso import Graph
 from .ruleengine import ComputationObject, Kind, RuleBase
 
 
-def _fmt_scalar(x) -> str:
-    return str(x)
-
-
 def _fmt_rows(m: Matrix) -> list[str]:
     if m.n_rows == 0:
         return [f"empty {m.n_cols}"]
@@ -37,8 +33,8 @@ def _fmt_set(s) -> str:
 def serialize_value(kind: Kind, value) -> list[str]:
     if kind is Kind.BOOL:
         return ["1" if value else "0"]
-    if kind in (Kind.INT, Kind.RATIONAL):
-        return [_fmt_scalar(value)]
+    if kind is Kind.INT:
+        return [str(value)]
     if kind is Kind.VECTOR:
         return [" ".join(str(x) for x in value.entries)]
     if kind is Kind.MATRIX:
@@ -75,9 +71,6 @@ def parse_value(kind: Kind, lines: list[str], section: str):
         if kind is Kind.INT:
             (line,) = lines
             return int(line)
-        if kind is Kind.RATIONAL:
-            (line,) = lines
-            return Fraction(line)
         if kind is Kind.VECTOR:
             (line,) = lines
             return Vector(Fraction(t) for t in line.split())

@@ -18,7 +18,6 @@ import enum
 import heapq
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -37,7 +36,6 @@ class Kind(enum.Enum):
 
     BOOL = "bool"
     INT = "int"
-    RATIONAL = "rational"
     VECTOR = "vector"
     MATRIX = "matrix"
     INCIDENCE = "incidence"
@@ -49,8 +47,6 @@ class Kind(enum.Enum):
             return isinstance(value, bool)
         if self is Kind.INT:
             return isinstance(value, int) and not isinstance(value, bool)
-        if self is Kind.RATIONAL:
-            return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
         if self is Kind.VECTOR:
             return isinstance(value, Vector)
         if self is Kind.MATRIX:

@@ -4,7 +4,8 @@ The oracles share no code with the fraction-free elimination kernel in
 ``polylat.exactmath``: they work on ``Fraction`` entries by textbook
 cofactor expansion, Cramer's rule and Gauss-Jordan elimination.  The
 Ehrhart oracle counts the lattice points of each dilate by scanning its
-bounding box.
+bounding box.  The face-lattice oracle closes the facet vertex sets under
+intersection and finds covers by inclusion.
 """
 
 import itertools
@@ -151,6 +152,59 @@ def boxscan_ehrhart_counts(vertices, facets, k_max):
                 for f in rows)
             for xs in itertools.product(*box)))
     return tuple(counts)
+
+
+def brute_force_face_lattice(facet_sets, n_vertices):
+    """Face lattice from facet vertex sets, by brute force.
+
+    The faces are every intersection of facet vertex sets, the full vertex
+    set (the empty intersection) included.  H covers G when G < H and no
+    face lies strictly between them; a face's dimension is the length of
+    the longest cover chain up from the bottom face, which gets -1.
+    Returns nodes (vertex set, dimension) ordered by dimension, then by
+    sorted vertex list, the cover edges as id pairs, the f-vector, the
+    f2-matrix, and the adjacency rows of the vertex-edge graph and of the
+    facet-ridge graph (facets numbered like ``facet_sets``).
+    """
+    faces = {frozenset(range(n_vertices))}
+    todo = list(faces)
+    while todo:
+        face = todo.pop()
+        for r in facet_sets:
+            if face & r not in faces:
+                faces.add(face & r)
+                todo.append(face & r)
+    covers = {}
+    for g in faces:
+        up = [h for h in faces if g < h]
+        covers[g] = [h for h in up if not any(k < h for k in up)]
+    dim = {}
+    for h in sorted(faces, key=len):
+        dim[h] = max((dim[g] for g in faces if h in covers[g]),
+                     default=-2) + 1
+    nodes = sorted(((f, dim[f]) for f in faces),
+                   key=lambda node: (node[1], sorted(node[0])))
+    ids = {f: i for i, (f, _) in enumerate(nodes)}
+    edges = {(ids[g], ids[h]) for g in faces for h in covers[g]}
+    d = nodes[-1][1]
+    proper = [f for f in faces if 0 <= dim[f] < d]
+    f2 = [[0] * d for _ in range(d)]
+    for g in proper:
+        for h in proper:
+            if g <= h or h < g:
+                f2[dim[g]][dim[h]] += 1
+    graph = [set() for _ in range(n_vertices)]
+    for f in faces:
+        if dim[f] == 1:
+            u, v = sorted(f)
+            graph[u].add(v)
+            graph[v].add(u)
+    dual = [{j for j, s in enumerate(facet_sets)
+             if j != i and dim[r & s] == d - 2}
+            for i, r in enumerate(facet_sets)]
+    return {"nodes": nodes, "edges": edges,
+            "f_vector": [f2[i][i] for i in range(d)], "f2_vector": f2,
+            "graph": graph, "dual_graph": dual}
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -18,6 +18,7 @@ from polylat.errors import (
 )
 from polylat.exactmath import Matrix, Vector
 from polylat.geomcore import (
+    HasseDiagram,
     IncidenceMatrix,
     _int_rank,
     _kernel_basis,
@@ -31,6 +32,7 @@ from polylat.geomcore import (
     f2_vector,
     f_vector,
     facets_from_points,
+    from_points,
     hasse_diagram,
     incidence,
     is_bounded,
@@ -39,6 +41,8 @@ from polylat.geomcore import (
     vertices_from_facets,
 )
 from polylat.graphiso import isomorphic
+
+from oracles import brute_force_face_lattice
 
 M_ROWS = [
     (0, 1, 0, 0, 0, 0),
@@ -290,8 +294,8 @@ class TestHasse:
             h = hasse_diagram(obj.get("VERTICES_IN_FACETS"))
             for a, b in h.edges:
                 assert h.nodes[b][1] == h.nodes[a][1] + 1
-            assert h.nodes[h.top][0] == frozenset(range(h.n_vertices))
-            assert h.nodes[h.bottom][0] == frozenset()
+            assert h.nodes[-1][0] == frozenset(range(h.n_vertices))
+            assert h.nodes[0][0] == frozenset()
             atoms = h.faces_of_dim(0)
             assert sorted(map(tuple, atoms)) == [(v,) for v in
                                                  range(h.n_vertices)]
@@ -313,6 +317,23 @@ class TestHasse:
                 found = True
                 break
         assert found
+
+    @pytest.mark.parametrize("nodes, edges", [
+        ([(set(), -1), ({0}, 0)], [(0, 2)]),                # end out of range
+        ([(set(), -1), ({0}, 0), ({0, 1}, 1)], [(0, 2)]),   # skips a dimension
+        ([(set(), -1), ({0}, 0), ({1}, 0)], [(1, 2)]),      # same dimension
+        ([(set(), -1), ({0}, 0), ({1, 2}, 1)], [(1, 2)]),   # not an inclusion
+        ([(set(), -1), ({5}, 0)], [(0, 1)]),                # vertex out of range
+        ([({0}, 0), (set(), -1)], [(1, 0)]),                # dimensions descend
+    ])
+    def test_constructor_refuses_non_lattice_input(self, nodes, edges):
+        with pytest.raises(GeometryError):
+            HasseDiagram(nodes, edges, 3)
+
+    def test_covers_above_ascending(self):
+        h = hasse_diagram(cube(3).get("VERTICES_IN_FACETS"))
+        for i in range(len(h.nodes)):
+            assert h.covers_above(i) == sorted(b for a, b in h.edges if a == i)
 
     def test_point_face_lattice(self):
         from polylat.geomcore import from_points
@@ -406,6 +427,45 @@ class TestSkeletons:
         g, dual = skeleton_graphs(hasse_diagram(inc), inc)
         assert g.n_edges() == 0
         assert dual.n_edges() == 0
+
+
+def _random_points(seed, d):
+    rng = random.Random(seed)
+    return Matrix([[1] + [rng.randint(-3, 3) for _ in range(d)]
+                   for _ in range(d + 5)])
+
+
+LATTICE_BIRTHS = {
+    **{f"cube({d})": lambda d=d: cube(d) for d in (3, 4, 5)},
+    **{f"cross({d})": lambda d=d: cross(d) for d in (3, 4, 5)},
+    **{f"random-{d}d-{seed}": lambda seed=seed, d=d:
+       from_points(_random_points(seed, d))
+       for d in (3, 4) for seed in (1, 2, 3)},
+    # pointed cone over a square: the far facet holds the four rays
+    "cone": lambda: from_points(Matrix(
+        [[1, 0, 0, 0], [0, 1, 0, 1], [0, -1, 0, 1], [0, 0, 1, 1],
+         [0, 0, -1, 1]])),
+    # a pentagon in the plane z = x + y of 3-space
+    "flat-pentagon": lambda: from_points(Matrix(
+        [[1, 0, 0, 0], [1, 2, 0, 2], [1, 3, 2, 5], [1, 1, 3, 4],
+         [1, -1, 1, 0], [1, 1, 1, 2]])),
+}
+
+
+class TestFaceLatticeOracle:
+    @pytest.mark.parametrize("name", sorted(LATTICE_BIRTHS))
+    def test_matches_brute_force(self, name):
+        p = LATTICE_BIRTHS[name]()
+        inc = p.request("VERTICES_IN_FACETS")
+        want = brute_force_face_lattice(inc.rows, inc.n_vertices)
+        h = p.request("HASSE_DIAGRAM")
+        assert list(h.nodes) == want["nodes"]
+        assert h.edges == want["edges"]
+        assert list(p.request("F_VECTOR").entries) == want["f_vector"]
+        assert [list(r) for r in p.request("F2_VECTOR").rows] \
+            == want["f2_vector"]
+        assert list(p.request("GRAPH").adjacency()) == want["graph"]
+        assert list(p.request("DUAL_GRAPH").adjacency()) == want["dual_graph"]
 
 
 class TestPredicates:

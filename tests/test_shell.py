@@ -348,6 +348,28 @@ class TestObjectFile:
             load_object(path, rulebase=fresh_rulebase())
         assert "BOUNDED" in str(exc.value)
 
+    @pytest.mark.parametrize("line, forged", [
+        ("edge", "0 99"),   # cover end past the last node
+        ("edge", "0 9"),    # the empty face under the square itself
+        ("edge", "1 8"),    # vertex 0 under the edge {2 3}
+        ("node", "0: 7"),   # a vertex index the square does not have
+    ])
+    def test_forged_hasse_diagram_refused(self, tmp_path, line, forged):
+        rb = fresh_rulebase()
+        p = cube(2, rulebase=rb)
+        p.request("F_VECTOR")
+        path = tmp_path / "square.poly"
+        save_object(p, path)
+        lines = path.read_text().split("\n")
+        header = lines.index("HASSE_DIAGRAM") + 1
+        assert lines[header] == "10 16 4"
+        at = header + 2 if line == "node" else header + 11
+        lines[at] = forged
+        path.write_text("\n".join(lines))
+        with pytest.raises(ObjectFileError) as exc:
+            load_object(path, rulebase=rb)
+        assert exc.value.section == "HASSE_DIAGRAM"
+
     def test_unknown_section_named(self, tmp_path):
         path = tmp_path / "bad.poly"
         path.write_text("CLASS\nPolytope\n\nNO_SUCH_KEY\n1\n")
