@@ -10,7 +10,6 @@ from .errors import PolylatError
 from .exactmath import (
     All,
     Matrix,
-    Rational,
     Vector,
     all_subsets_of_k,
     det,
@@ -32,7 +31,7 @@ from .latticecore import caratheodory_witness_scan, hilbert_basis
 from .objectfile import load_object, save_object
 from .ruleengine import ComputationObject, RuleBase, RuleSpec, Schedule
 from .rules import DEFAULT_RULEBASE, fresh_rulebase
-from .shell import eval_text, repl, run_script, schedule_print
+from .shell import eval_text, repl, run_script
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,6 @@ __all__ = [
     "IncidenceMatrix",
     "Matrix",
     "PolylatError",
-    "Rational",
     "RuleBase",
     "RuleSpec",
     "Schedule",
@@ -70,5 +68,4 @@ __all__ = [
     "repl",
     "run_script",
     "save_object",
-    "schedule_print",
 ]

@@ -14,8 +14,6 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionError
 
-Rational = Fraction
-
 
 def _q(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -98,14 +96,7 @@ class Vector:
 
 
 class _AllType:
-    """Sentinel for 'all indices' in minor()."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Sentinel for 'all indices' in minor(); ``All`` is its one instance."""
 
     def __repr__(self):
         return "All"

@@ -109,7 +109,7 @@ def double_description(
             for p in pos:
                 for n in neg:
                     z = masks[p] & masks[n]
-                    if bin(z).count("1") < cur_rank - 2:
+                    if z.bit_count() < cur_rank - 2:
                         continue
                     tight = [processed[i] for i in range(idx) if z >> i & 1]
                     if _int_rank(tight, width) != cur_rank - 2:
@@ -310,7 +310,8 @@ def incidence(vertices: Matrix, facets: Matrix) -> IncidenceMatrix:
 class HasseDiagram:
     """Graded face lattice: nodes (vertex index set, dimension) in
     ascending dimension, edges the covers (lower id, upper id).  The upward
-    cover lists are built once, in ascending node order, from checked input.
+    cover lists are built once, in ascending node order, from checked input:
+    a face of dimension d < 2 must have d + 1 vertices.
     """
 
     def __init__(self, nodes: Sequence[tuple[frozenset[int], int]],
@@ -324,6 +325,9 @@ class HasseDiagram:
             raise GeometryError("face lattice nodes not in ascending dimension")
         if any(v < 0 or v >= self.n_vertices for s, _ in self.nodes for v in s):
             raise GeometryError("face lattice vertex index out of range")
+        for s, d in self.nodes:
+            if d < 2 and len(s) != d + 1:
+                raise GeometryError(f"{d}-face with {len(s)} vertices")
         self._up: list[list[int]] = [[] for _ in self.nodes]
         for a, b in sorted(self.edges):
             if not (0 <= a < len(self.nodes) and 0 <= b < len(self.nodes)):
@@ -462,11 +466,7 @@ def skeleton_graphs(h: HasseDiagram, inc: IncidenceMatrix) -> tuple[Graph, Graph
     """
     g = Graph(h.n_vertices)
     for face in h.faces_of_dim(1):
-        pair = sorted(face)
-        if len(pair) != 2:
-            raise InternalConsistencyError(
-                f"1-face with {len(pair)} vertices")
-        g.add_edge(pair[0], pair[1])
+        g.add_edge(*sorted(face))
 
     facet_index = {r: i for i, r in enumerate(inc.rows)}
     dual = Graph(len(inc.rows))

@@ -38,10 +38,6 @@ class Graph:
         """Total slots, deleted or not."""
         return len(self._adj)
 
-    @property
-    def n_live_nodes(self) -> int:
-        return len(self._adj) - len(self._deleted)
-
     def is_squeezed(self) -> bool:
         return not self._deleted
 
@@ -62,10 +58,6 @@ class Graph:
 
     def n_edges(self) -> int:
         return len(self.edges())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (0 <= u < len(self._adj) and u not in self._deleted
-                and v in self._adj[u])
 
     def add_edge(self, u: int, v: int):
         self._check_live(u)
@@ -91,14 +83,6 @@ class Graph:
                 self._adj[u].add(w)
         self._adj[v] = set()
         self._deleted.add(v)
-
-    def delete_node(self, u: int):
-        """Mark a node deleted and detach its edges."""
-        self._check_live(u)
-        for w in self._adj[u]:
-            self._adj[w].discard(u)
-        self._adj[u] = set()
-        self._deleted.add(u)
 
     def squeeze(self):
         """Drop deleted nodes and renumber survivors, keeping their order."""

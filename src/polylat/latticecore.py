@@ -364,18 +364,12 @@ def hilbert_basis(points: Matrix) -> Matrix:
     def grade(x: IntRow) -> int:
         return sum(a * b for a, b in zip(w, x))
 
-    ordered = sorted(candidates, key=lambda x: (grade(x), x))
+    # y can reduce x only if grade(y) < grade(x), so only earlier survivors
     survivors: list[IntRow] = []
-    for idx, x in enumerate(ordered):
-        others = itertools.chain(survivors, ordered[idx + 1:])
-        if any(y != x and in_cone([a - b for a, b in zip(x, y)],
-                                  facets, equations) for y in others):
-            continue
-        survivors.append(x)
-    for x in survivors:
-        if any(y != x and in_cone([a - b for a, b in zip(x, y)],
-                                  facets, equations) for y in survivors):
-            raise InternalConsistencyError("Hilbert basis reduction unstable")
+    for x in sorted(candidates, key=lambda x: (grade(x), x)):
+        if not any(in_cone([a - b for a, b in zip(x, y)], facets, equations)
+                   for y in survivors):
+            survivors.append(x)
     return Matrix(sorted(survivors), n_cols=width)
 
 

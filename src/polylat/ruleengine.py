@@ -209,10 +209,6 @@ class Schedule:
     def list(self) -> list[str]:
         return [e.label for e in self.entries]
 
-    @property
-    def total_weight(self) -> int:
-        return sum(e.weight for e in self.entries if isinstance(e, RuleSpec))
-
     def apply(self, obj: "ComputationObject"):
         """Run every entry in order, storing each rule's targets.
 
@@ -303,10 +299,6 @@ class ComputationObject:
 
     def store_items(self) -> tuple[tuple[str, object], ...]:
         return tuple(self._store.items())
-
-    @property
-    def type_full_name(self) -> str:
-        return self.rulebase.class_spec(self.class_tag).full_name
 
     # -- scheduling --------------------------------------------------
 

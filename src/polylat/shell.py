@@ -443,79 +443,6 @@ def parse(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# unparser (for the grammar round-trip invariant)
-# ---------------------------------------------------------------------------
-
-def unparse_expr(node, heredocs: list) -> str:
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Str):
-        body = (node.value.replace("\\", "\\\\").replace('"', '\\"')
-                .replace("\n", "\\n").replace("\t", "\\t"))
-        return f'"{body}"'
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Heredoc):
-        heredocs.append(node)
-        return '<<"."'
-    if isinstance(node, Call):
-        parts = [unparse_expr(a, heredocs) for a in node.args]
-        parts += [f"{k}={unparse_expr(v, heredocs)}" for k, v in node.kwargs]
-        return f"{node.name}({', '.join(parts)})"
-    if isinstance(node, Access):
-        base = f"{unparse_expr(node.obj, heredocs)}.{node.name}"
-        if node.args is None:
-            return base
-        return base + "(" + ", ".join(unparse_expr(a, heredocs)
-                                      for a in node.args) + ")"
-    if isinstance(node, Index):
-        return (f"{unparse_expr(node.obj, heredocs)}"
-                f"[{unparse_expr(node.index, heredocs)}]")
-    if isinstance(node, BinOp):
-        return (f"{unparse_expr(node.left, heredocs)} {node.op} "
-                f"{unparse_expr(node.right, heredocs)}")
-    if isinstance(node, Neg):
-        return f"-{unparse_expr(node.operand, heredocs)}"
-    if isinstance(node, RangeExpr):
-        return (f"{unparse_expr(node.low, heredocs)}.."
-                f"{unparse_expr(node.high, heredocs)}")
-    raise AssertionError(node)
-
-
-def unparse_stmt(stmt, indent: str = "") -> str:
-    heredocs: list[Heredoc] = []
-
-    def finish(line: str) -> str:
-        chunks = [indent + line]
-        for h in heredocs:
-            chunks.extend(h.rows)
-            chunks.append(".")
-        return "\n".join(chunks)
-
-    if isinstance(stmt, Assign):
-        return finish(f"{stmt.name} = {unparse_expr(stmt.expr, heredocs)}")
-    if isinstance(stmt, Print):
-        return finish("print " + ", ".join(unparse_expr(e, heredocs)
-                                           for e in stmt.exprs))
-    if isinstance(stmt, ExprStmt):
-        return finish(unparse_expr(stmt.expr, heredocs))
-    if isinstance(stmt, Foreach):
-        head = (f"foreach {stmt.var} in "
-                f"{unparse_expr(stmt.iterable, heredocs)} {{")
-        body = [unparse_stmt(s, indent + "  ") for s in stmt.body]
-        return "\n".join([finish(head)] + body + [indent + "}"])
-    if isinstance(stmt, If):
-        head = f"if {unparse_expr(stmt.cond, heredocs)} {{"
-        body = [unparse_stmt(s, indent + "  ") for s in stmt.body]
-        return "\n".join([finish(head)] + body + [indent + "}"])
-    raise AssertionError(stmt)
-
-
-def unparse(stmts) -> str:
-    return "\n".join(unparse_stmt(s) for s in stmts)
-
-
-# ---------------------------------------------------------------------------
 # values and formatting
 # ---------------------------------------------------------------------------
 
@@ -564,13 +491,23 @@ def _want(args, n, name, line):
                          line)
 
 
+def _integer(value, line) -> int:
+    """An integer argument: an int, or a rational whose denominator is 1."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ShellError(f"expected an integer, got {type(value).__name__} "
+                     f"{format_value(value)}", line)
+
+
 def _builtin(env: Environment, name: str, args, kwargs, line):
     if name == "cube":
         _want(args, 1, name, line)
-        return cube(int(args[0]), rulebase=env.rulebase)
+        return cube(_integer(args[0], line), rulebase=env.rulebase)
     if name == "cross":
         _want(args, 1, name, line)
-        return cross(int(args[0]), rulebase=env.rulebase)
+        return cross(_integer(args[0], line), rulebase=env.rulebase)
     if name == "polytope":
         kw = dict(kwargs)
         if args or set(kw) != {"points"}:
@@ -601,7 +538,7 @@ def _builtin(env: Environment, name: str, args, kwargs, line):
         return _minor(args[0], args[1], args[2])
     if name == "all_subsets_of_k":
         _want(args, 2, name, line)
-        return _subsets(int(args[0]), args[1])
+        return _subsets(_integer(args[0], line), args[1])
     if name == "rank":
         _want(args, 1, name, line)
         return _rank(args[0])
@@ -658,7 +595,8 @@ def _access(env: Environment, value, name: str, args, line):
         if name == "contract_edge":
             if args is None or len(args) != 2:
                 raise ShellError("contract_edge takes two nodes", line)
-            value.contract_edge(int(args[0]), int(args[1]))
+            value.contract_edge(_integer(args[0], line),
+                                _integer(args[1], line))
             return None
         if name == "squeeze":
             value.squeeze()
@@ -705,7 +643,7 @@ def _evaluate(env: Environment, node):
         return _access(env, obj, node.name, args, node.line)
     if isinstance(node, Index):
         obj = _evaluate(env, node.obj)
-        idx = int(_evaluate(env, node.index))
+        idx = _integer(_evaluate(env, node.index), node.line)
         try:
             item = obj[idx]
         except (IndexError, TypeError, KeyError) as exc:
@@ -727,8 +665,8 @@ def _evaluate(env: Environment, node):
             raise ShellError(f"cannot negate {type(val).__name__}",
                              node.line) from exc
     if isinstance(node, RangeExpr):
-        lo = int(_evaluate(env, node.low))
-        hi = int(_evaluate(env, node.high))
+        lo = _integer(_evaluate(env, node.low), node.line)
+        hi = _integer(_evaluate(env, node.high), node.line)
         return range(lo, hi + 1)
     raise AssertionError(node)
 
@@ -781,12 +719,6 @@ def eval_text(text: str, env: Environment | None = None) -> Environment:
     for stmt in parse(text):
         _execute(env, stmt)
     return env
-
-
-def schedule_print(obj: ComputationObject, *keys: str) -> str:
-    """One rule per line, 'TARGETS : SOURCES'; '(already computed)' when
-    nothing needs to run."""
-    return str(obj.get_schedule(*keys))
 
 
 def run_script(path: str, out=None, rulebase=None) -> int:

@@ -6,6 +6,10 @@ cofactor expansion, Cramer's rule and Gauss-Jordan elimination.  The
 Ehrhart oracle counts the lattice points of each dilate by scanning its
 bounding box.  The face-lattice oracle closes the facet vertex sets under
 intersection and finds covers by inclusion.
+
+The rest are helpers that read values through the public API: graph,
+schedule and Hilbert-basis checks, and the shell unparser behind the
+grammar round-trip test.
 """
 
 import itertools
@@ -14,6 +18,24 @@ from fractions import Fraction
 from math import gcd
 
 from polylat.exactmath import Matrix, Vector
+from polylat.ruleengine import RuleSpec
+from polylat.shell import (
+    Access,
+    Assign,
+    BinOp,
+    Call,
+    ExprStmt,
+    Foreach,
+    Heredoc,
+    If,
+    Index,
+    Neg,
+    Num,
+    Print,
+    RangeExpr,
+    Str,
+    Var,
+)
 
 
 def cofactor_det(rows):
@@ -233,3 +255,106 @@ def zero_matrix(m: int, n: int) -> Matrix:
 def n_interior_from_hstar(hstar: Vector) -> int:
     """The top h*-coefficient counts the interior lattice points."""
     return int(hstar.entries[-1])
+
+
+def n_live_nodes(g) -> int:
+    """Nodes of a graph that are not marked deleted."""
+    h = g.copy()
+    h.squeeze()
+    return h.n_nodes
+
+
+def delete_node(g, u: int):
+    """Mark node u of g deleted and detach its edges.  The package deletes
+    nodes only by contracting edges; this reaches into the deletion marks."""
+    for w in g.neighbors(u):
+        g._adj[w].discard(u)
+    g._adj[u] = set()
+    g._deleted.add(u)
+
+
+def total_weight(schedule) -> int:
+    """Sum of the weights of a schedule's rules; cast steps weigh nothing."""
+    return sum(e.weight for e in schedule.entries if isinstance(e, RuleSpec))
+
+
+def reducible_pairs(basis, facets, equations):
+    """Pairs (x, y) of distinct basis rows with x - y in the cone given by
+    facets (>= 0) and equations (== 0); a Hilbert basis has none."""
+    def in_cone(z):
+        return (all(sum(a * b for a, b in zip(e, z)) == 0 for e in equations)
+                and all(sum(a * b for a, b in zip(f, z)) >= 0 for f in facets))
+
+    return [(x, y) for x in basis for y in basis
+            if y != x and in_cone([a - b for a, b in zip(x, y)])]
+
+
+# shell unparser: parse(unparse(stmts)) == stmts is the grammar round trip
+
+def unparse_expr(node, heredocs: list) -> str:
+    if isinstance(node, Num):
+        return str(node.value)
+    if isinstance(node, Str):
+        body = (node.value.replace("\\", "\\\\").replace('"', '\\"')
+                .replace("\n", "\\n").replace("\t", "\\t"))
+        return f'"{body}"'
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Heredoc):
+        heredocs.append(node)
+        return '<<"."'
+    if isinstance(node, Call):
+        parts = [unparse_expr(a, heredocs) for a in node.args]
+        parts += [f"{k}={unparse_expr(v, heredocs)}" for k, v in node.kwargs]
+        return f"{node.name}({', '.join(parts)})"
+    if isinstance(node, Access):
+        base = f"{unparse_expr(node.obj, heredocs)}.{node.name}"
+        if node.args is None:
+            return base
+        return base + "(" + ", ".join(unparse_expr(a, heredocs)
+                                      for a in node.args) + ")"
+    if isinstance(node, Index):
+        return (f"{unparse_expr(node.obj, heredocs)}"
+                f"[{unparse_expr(node.index, heredocs)}]")
+    if isinstance(node, BinOp):
+        return (f"{unparse_expr(node.left, heredocs)} {node.op} "
+                f"{unparse_expr(node.right, heredocs)}")
+    if isinstance(node, Neg):
+        return f"-{unparse_expr(node.operand, heredocs)}"
+    if isinstance(node, RangeExpr):
+        return (f"{unparse_expr(node.low, heredocs)}.."
+                f"{unparse_expr(node.high, heredocs)}")
+    raise AssertionError(node)
+
+
+def unparse_stmt(stmt, indent: str = "") -> str:
+    heredocs: list[Heredoc] = []
+
+    def finish(line: str) -> str:
+        chunks = [indent + line]
+        for h in heredocs:
+            chunks.extend(h.rows)
+            chunks.append(".")
+        return "\n".join(chunks)
+
+    if isinstance(stmt, Assign):
+        return finish(f"{stmt.name} = {unparse_expr(stmt.expr, heredocs)}")
+    if isinstance(stmt, Print):
+        return finish("print " + ", ".join(unparse_expr(e, heredocs)
+                                           for e in stmt.exprs))
+    if isinstance(stmt, ExprStmt):
+        return finish(unparse_expr(stmt.expr, heredocs))
+    if isinstance(stmt, Foreach):
+        head = (f"foreach {stmt.var} in "
+                f"{unparse_expr(stmt.iterable, heredocs)} {{")
+        body = [unparse_stmt(s, indent + "  ") for s in stmt.body]
+        return "\n".join([finish(head)] + body + [indent + "}"])
+    if isinstance(stmt, If):
+        head = f"if {unparse_expr(stmt.cond, heredocs)} {{"
+        body = [unparse_stmt(s, indent + "  ") for s in stmt.body]
+        return "\n".join([finish(head)] + body + [indent + "}"])
+    raise AssertionError(stmt)
+
+
+def unparse(stmts) -> str:
+    return "\n".join(unparse_stmt(s) for s in stmts)

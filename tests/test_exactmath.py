@@ -5,11 +5,14 @@ Determinants and solves are cross-checked against independent oracles
 with the kernel.
 """
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import polylat
 from polylat.errors import DimensionError
 from polylat.exactmath import (
     All,
@@ -305,3 +308,36 @@ class TestPrimitive:
             # positive rational multiple of the input
             ratios = {Fraction(a, b) for a, b in zip(v, p) if b != 0}
             assert len(ratios) == 1 and ratios.pop() > 0
+
+
+# Every true division in the package.  Each divides a Fraction, so it stays
+# exact; int / int would give a float.
+DIVISION_ALLOWLIST = {("geomcore.py", "_normalized_generator"),
+                      ("geomcore.py", "from_points")}
+
+
+def _divisions(source, file_name):
+    """(file name, enclosing function or None, line) of each / and /=."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Div)):
+            found.append((file_name, func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_no_true_division_outside_allowlist():
+    assert _divisions("x = 1 / 2\ndef f(a):\n    a /= [b // 2 for b in a]",
+                      "m.py") == [("m.py", None, 1), ("m.py", "f", 3)]
+    package = pathlib.Path(polylat.__file__).parent
+    stray = [d for path in sorted(package.glob("*.py"))
+             for d in _divisions(path.read_text(encoding="utf-8"), path.name)
+             if d[:2] not in DIVISION_ALLOWLIST]
+    assert stray == []

@@ -325,6 +325,9 @@ class TestHasse:
         ([(set(), -1), ({0}, 0), ({1, 2}, 1)], [(1, 2)]),   # not an inclusion
         ([(set(), -1), ({5}, 0)], [(0, 1)]),                # vertex out of range
         ([({0}, 0), (set(), -1)], [(1, 0)]),                # dimensions descend
+        ([({0}, -1)], []),                                  # bottom not empty
+        ([(set(), -1), ({0, 1}, 0)], [(0, 1)]),             # 2-vertex 0-face
+        ([(set(), -1), ({0}, 0), ({0, 1, 2}, 1)], [(1, 2)]),  # 3-vertex 1-face
     ])
     def test_constructor_refuses_non_lattice_input(self, nodes, edges):
         with pytest.raises(GeometryError):

@@ -6,6 +6,8 @@ import pytest
 from polylat.errors import BudgetExceededError, PolylatError
 from polylat.graphiso import Graph, isomorphic, isomorphism
 
+from oracles import delete_node, n_live_nodes
+
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -50,7 +52,7 @@ class TestIsomorphic:
             m = isomorphism(g, h)
             assert m is not None
             for u, v in g.edges():
-                assert h.has_edge(m[u], m[v])
+                assert m[v] in h.neighbors(m[u])
 
     def test_reflexive_and_symmetric(self):
         rng = random.Random(5)
@@ -100,7 +102,7 @@ class TestContractSqueeze:
         g = path(3)  # a-b-c
         g.contract_edge(0, 1)
         assert not g.is_squeezed()
-        assert g.n_live_nodes == 2
+        assert n_live_nodes(g) == 2
         g.squeeze()
         assert g.adjacency() == (frozenset({1}), frozenset({0}))
 
@@ -114,7 +116,7 @@ class TestContractSqueeze:
     def test_contract_keeps_first_node(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         g.contract_edge(1, 2)
-        assert g.has_edge(0, 1) and g.has_edge(1, 3)
+        assert 1 in g.neighbors(0) and 3 in g.neighbors(1)
         with pytest.raises(PolylatError):
             g.neighbors(2)
 
@@ -134,9 +136,9 @@ class TestContractSqueeze:
         g = hypercube(3)
         for _ in range(4):
             u, v = rng.choice(g.edges())
-            before = g.n_live_nodes
+            before = n_live_nodes(g)
             g.contract_edge(u, v)
-            assert g.n_live_nodes == before - 1
+            assert n_live_nodes(g) == before - 1
             for a, b in g.edges():
                 assert a != b
 
@@ -149,7 +151,7 @@ class TestContractSqueeze:
     def test_squeeze_everything(self):
         g = path(2)
         g.contract_edge(0, 1)
-        g.delete_node(0)
+        delete_node(g, 0)
         g.squeeze()
         assert g.n_nodes == 0
 
@@ -165,5 +167,5 @@ class TestContractSqueeze:
         g = cycle(4)
         h = g.copy()
         h.contract_edge(0, 1)
-        assert g.n_live_nodes == 4
-        assert h.n_live_nodes == 3
+        assert n_live_nodes(g) == 4
+        assert n_live_nodes(h) == 3

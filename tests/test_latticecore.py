@@ -46,6 +46,7 @@ from oracles import (
     boxscan_ehrhart_counts,
     boxscan_parallelepiped,
     n_interior_from_hstar,
+    reducible_pairs,
 )
 
 M_ROWS = [
@@ -499,7 +500,10 @@ class TestPlacingTriangulation:
 class TestHilbertBasis:
     def test_counterexample_cone_equals_generators(self):
         hb = hilbert_basis(Matrix(M_ROWS))
-        assert {tuple(int(x) for x in r) for r in hb.rows} == set(M_ROWS)
+        basis = [tuple(int(x) for x in r) for r in hb.rows]
+        assert set(basis) == set(M_ROWS)
+        facets, equations = double_description(sorted(M_ROWS), 6)
+        assert not reducible_pairs(basis, facets, equations)
 
     def test_unimodular_cone(self):
         hb = hilbert_basis(Matrix([[1, 0], [0, 1]]))
@@ -537,10 +541,7 @@ class TestHilbertBasis:
             hb = hilbert_basis(Matrix(gens))
             basis = [tuple(int(x) for x in r) for r in hb.rows]
             # minimality: no element reducible by another basis element
-            for x in basis:
-                assert not any(
-                    y != x and in_cone([a - b for a, b in zip(x, y)],
-                                       facets, equations) for y in basis)
+            assert not reducible_pairs(basis, facets, equations)
             # completeness: random small cone points decompose over the basis
             cone_pts = [p for p in
                         itertools.product(range(-4, 5), repeat=dim)

@@ -4,7 +4,12 @@ import io
 
 import pytest
 
-from polylat.errors import ObjectFileError, ShellError
+from polylat.errors import (
+    GeometryError,
+    ObjectFileError,
+    RuleBodyError,
+    ShellError,
+)
 from polylat.exactmath import All, Matrix, Vector
 from polylat.geomcore import cube, from_points
 from polylat.objectfile import load_object, save_object
@@ -17,9 +22,9 @@ from polylat.shell import (
     main,
     parse,
     repl,
-    schedule_print,
-    unparse,
 )
+
+from oracles import unparse
 
 M_TEXT = """M = <<"."
 0 1 0 0 0 0
@@ -237,6 +242,33 @@ class TestTranscripts:
             run("print nothing_here")
 
 
+class TestIntegerArguments:
+    @pytest.mark.parametrize("text, shown", [
+        ("print cube(5/2).F_VECTOR", "Fraction 5/2"),
+        ("print cross(7/3).F_VECTOR", "Fraction 7/3"),
+        ("x = vector(1, 2)\nprint x[1/2]", "Fraction 1/2"),
+        ("print 1..5/2", "Fraction 5/2"),
+        ("print 1/2..3", "Fraction 1/2"),
+        ("print all_subsets_of_k(3/2, 0..3)", "Fraction 3/2"),
+        ("g = cube(2).GRAPH.ADJACENCY\ng.contract_edge(0, 1/2)",
+         "Fraction 1/2"),
+        ("x = vector(1, 2)\nprint x[vector(1)]", "Vector 1"),
+        ("print 0..vector(1)", "Vector 1"),
+        ("print 0..cube(3).BOUNDED", "bool 1"),
+    ], ids=["cube", "cross", "index", "range-end", "range-start", "subsets",
+            "contract-edge", "vector-index", "vector-range", "boolean"])
+    def test_non_integer_refused(self, text, shown):
+        with pytest.raises(ShellError) as exc:
+            run(text)
+        assert exc.value.message == f"expected an integer, got {shown}"
+        assert exc.value.line == text.count("\n") + 1
+
+    def test_integral_rationals_accepted(self):
+        out, _ = run("x = vector(1, 2)\nprint x[2/2], x[x[0]]\n"
+                     "print cube(4/2).F_VECTOR\nprint 1..6/2")
+        assert out == "22\n4 4\n1..3\n"
+
+
 class TestFormatting:
     def test_booleans_as_bits(self):
         assert format_value(True) == "1"
@@ -282,7 +314,7 @@ class TestFormatting:
 class TestScheduleprint:
     def test_reflexive_schedule_text(self):
         p = cube(3, rulebase=fresh_rulebase())
-        text = schedule_print(p, "REFLEXIVE")
+        text = str(p.get_schedule("REFLEXIVE"))
         lines = text.splitlines()
         assert lines[-1] == "REFLEXIVE : FACETS, AFFINE_HULL"
         assert "LATTICE : VERTICES, BOUNDED" in lines
@@ -290,7 +322,7 @@ class TestScheduleprint:
 
     def test_present_property(self):
         p = cube(3, rulebase=fresh_rulebase())
-        assert schedule_print(p, "BOUNDED") == "(already computed)"
+        assert str(p.get_schedule("BOUNDED")) == "(already computed)"
 
 
 class TestObjectFile:
@@ -369,6 +401,17 @@ class TestObjectFile:
         with pytest.raises(ObjectFileError) as exc:
             load_object(path, rulebase=rb)
         assert exc.value.section == "HASSE_DIAGRAM"
+
+    def test_forged_incidence_refused(self, tmp_path):
+        # facets {0} and {1 2}: no polytope has a 0-face with two vertices
+        path = tmp_path / "forged.poly"
+        path.write_text("CLASS\nPolytope\n\n"
+                        "VERTICES_IN_FACETS\n3\n{0}\n{1 2}\n")
+        p = load_object(path, rulebase=fresh_rulebase())
+        with pytest.raises(RuleBodyError) as exc:
+            p.request("F_VECTOR")
+        assert isinstance(exc.value.cause, GeometryError)
+        assert str(exc.value.cause) == "0-face with 2 vertices"
 
     def test_unknown_section_named(self, tmp_path):
         path = tmp_path / "bad.poly"
@@ -519,3 +562,21 @@ class TestCli:
         assert "polytope (2)> " in text  # continuation prompt numbering
         assert "polytope (3)> " in text
         assert "error:" in text  # session survives the bad statement
+
+    def test_repl_survives_non_integer_index(self):
+        inputs = iter(["x = vector(1, 2)", "print x[vector(1)]",
+                       "print x[1/2]", "print cube(3).F_VECTOR"])
+        out = io.StringIO()
+
+        def fake_input(prompt):
+            try:
+                return next(inputs)
+            except StopIteration:
+                raise EOFError
+
+        status = repl(fake_input, out=out, rulebase=fresh_rulebase())
+        assert status == 0
+        lines = out.getvalue().splitlines()
+        assert "error: line 1: expected an integer, got Vector 1" in lines
+        assert "error: line 1: expected an integer, got Fraction 1/2" in lines
+        assert lines[-2:] == ["8 12 6", ""]
